@@ -86,6 +86,13 @@ AnySignal = Union[Waveform, BinauralSignal]
 
 
 def _parse_riff_chunks(data: bytes):
+    """Map each chunk id to its first body, and name a chunk cut off by EOF.
+
+    Returns ``(chunks, truncated)``: a chunk whose declared size runs past
+    the end of the file is the last one, is left out of ``chunks``, and its
+    id and declared size are returned as ``truncated`` (None if there is
+    no such chunk).
+    """
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise AudioFormatError("not a RIFF/WAVE file")
     pos = 12
@@ -93,11 +100,12 @@ def _parse_riff_chunks(data: bytes):
     while pos + 8 <= len(data):
         cid = data[pos : pos + 4]
         (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + size]
+        if pos + 8 + size > len(data):
+            return chunks, (cid, size)
         if cid not in chunks:
-            chunks[cid] = body
+            chunks[cid] = data[pos + 8 : pos + 8 + size]
         pos += 8 + size + (size & 1)  # chunks are word-aligned
-    return chunks
+    return chunks, None
 
 
 def read_wav(path) -> AnySignal:
@@ -107,7 +115,16 @@ def read_wav(path) -> AnySignal:
     channel 0 as the left ear. PCM samples are normalized by 32768.
     """
     data = Path(path).read_bytes()
-    chunks = _parse_riff_chunks(data)
+    chunks, truncated = _parse_riff_chunks(data)
+    if truncated is not None:
+        cid, size = truncated
+        # a cut-off trailing metadata chunk loses no audio; a cut fmt or
+        # data chunk does
+        if cid in (b"fmt ", b"data") and cid not in chunks:
+            raise AudioFormatError(
+                f"truncated {cid.decode('latin-1')!r} chunk: declares {size} "
+                "bytes, past the end of the file"
+            )
     if b"fmt " not in chunks or b"data" not in chunks:
         raise AudioFormatError("missing fmt or data chunk")
     fmt = chunks[b"fmt "]
@@ -124,19 +141,26 @@ def read_wav(path) -> AnySignal:
 
     raw = chunks[b"data"]
     if audio_format == 1 and bits == 16:
-        ints = np.frombuffer(raw[: len(raw) - len(raw) % 2], dtype="<i2")
-        samples = ints.astype(np.float64) / PCM16_SCALE
+        dtype = "<i2"
     elif audio_format == 3 and bits == 32:
-        floats = np.frombuffer(raw[: len(raw) - len(raw) % 4], dtype="<f4")
-        samples = floats.astype(np.float64)
+        dtype = "<f4"
     else:
         raise AudioFormatError(
             f"unsupported encoding: format tag {audio_format}, {bits}-bit"
         )
+    frame_bytes = channels * bits // 8
+    if len(raw) % frame_bytes:
+        raise AudioFormatError(
+            f"data chunk of {len(raw)} bytes ends in a partial "
+            f"{frame_bytes}-byte frame"
+        )
+    samples = np.frombuffer(raw, dtype=dtype).astype(np.float64)
+    if audio_format == 1:
+        samples /= PCM16_SCALE
 
     if channels == 1:
         return Waveform(samples, sample_rate)
-    samples = samples[: samples.size - samples.size % 2].reshape(-1, 2)
+    samples = samples.reshape(-1, 2)
     return BinauralSignal(
         left=Waveform(samples[:, 0].copy(), sample_rate),
         right=Waveform(samples[:, 1].copy(), sample_rate),

@@ -22,7 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioFormatError, BinauralSignal, read_wav, write_wav
-from .dataset import build_training_tuples
+from .dataset import (
+    DirtyBuildStats,
+    _separate_one_mixture,
+    build_training_tuples,
+    draw_mixture_params,
+)
 from .hrir import load_hrir_bank
 from .itd_model import EmSettings
 from .manifest import ManifestEntry, write_manifest
@@ -33,6 +38,7 @@ from .scenes import (
     default_layout_r3,
     make_spherical_bank,
     random_scene,
+    region_of_itd,
     synth_scene,
 )
 from .separation import Discarded, Passthrough, Separated, SeparationConfig, separate
@@ -212,8 +218,6 @@ def cmd_separate(args) -> int:
     dtm = float(params["delta_tau_max"])
     entries = []
     if isinstance(outcome, Passthrough):
-        from .scenes import region_of_itd
-
         write_wav(outcome.signal, out / "passthrough.wav")
         entries.append(
             ManifestEntry(
@@ -225,8 +229,6 @@ def cmd_separate(args) -> int:
             )
         )
     elif isinstance(outcome, Separated):
-        from .scenes import region_of_itd
-
         for name, sig, itd in (
             ("source1.wav", outcome.source1, outcome.itd1),
             ("source2.wav", outcome.source2, outcome.itd2),
@@ -294,8 +296,6 @@ def cmd_eval(args) -> int:
 
 
 def _dataset_worker(job):
-    from .dataset import _separate_one_mixture, draw_mixture_params
-
     index, seed_seq, pool, bank, cfg, dt_min, dt_max = job
     rng = np.random.default_rng(seed_seq)
     id1, az1, id2, az2 = draw_mixture_params(
@@ -323,11 +323,10 @@ def cmd_dataset(args) -> int:
     ]
     results = _run_jobs(_dataset_worker, jobs, args.jobs)
 
-    from .dataset import DirtyBuildStats
-
     records = []
     stats = DirtyBuildStats()
     entries = []
+    clipped = 0
     for index, (new_records, discard_reason) in results:
         stats.n_mixtures += 1
         if discard_reason is not None:
@@ -351,7 +350,7 @@ def cmd_dataset(args) -> int:
             stats.n_separated += 1
         for j, rec in enumerate(new_records):
             name = f"mix{index:05d}_{j}.wav"
-            write_wav(rec.signal, out / name)
+            clipped += write_wav(rec.signal, out / name)
             entries.append(
                 ManifestEntry(
                     path=name,
@@ -367,9 +366,6 @@ def cmd_dataset(args) -> int:
             )
             records.append(rec)
     write_manifest(entries, out / "manifest.jsonl")
-    (out / "stats.json").write_text(
-        json.dumps(stats.to_record(), indent=2, sort_keys=True) + "\n"
-    )
 
     if args.tuples > 0 and records:
         tuples = build_training_tuples(
@@ -383,9 +379,9 @@ def cmd_dataset(args) -> int:
         for t, tup in enumerate(tuples):
             tdir = out / f"tuple_{t:04d}"
             tdir.mkdir(exist_ok=True)
-            write_wav(tup.mixture, tdir / "mixture.wav")
+            clipped += write_wav(tup.mixture, tdir / "mixture.wav")
             for r, ref in enumerate(tup.references, start=1):
-                write_wav(ref, tdir / f"region_{r}.wav")
+                clipped += write_wav(ref, tdir / f"region_{r}.wav")
             (tdir / "meta.json").write_text(
                 json.dumps(
                     {"active": list(tup.active), "provenances": list(tup.provenances)},
@@ -393,6 +389,12 @@ def cmd_dataset(args) -> int:
                 )
                 + "\n"
             )
+
+    # samples clipped to full scale in every WAV above, sources and tuples
+    record = {**stats.to_record(), "clipped_samples": clipped}
+    (out / "stats.json").write_text(
+        json.dumps(record, indent=2, sort_keys=True) + "\n"
+    )
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ recordings pass through untouched; everything else is discarded.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
@@ -185,13 +186,7 @@ def separate(m: BinauralSignal, cfg: SeparationConfig) -> SeparationOutcome:
     spec_r = stft(m.right, cfg.stft)
     grid = compute_features(spec_l, spec_r, cfg.f_aliasing, cfg.energy_floor_db)
 
-    em = EmSettings(
-        max_iter=cfg.em.max_iter,
-        rel_tol=cfg.em.rel_tol,
-        restarts=cfg.em.restarts,
-        min_responsibility=cfg.em.min_responsibility,
-        seed=cfg.seed,
-    )
+    em = dataclasses.replace(cfg.em, seed=cfg.seed)
     verdict = classify_itds(grid.itd_samples(), cfg.sigma_th, cfg.delta_tau_min, em)
 
     if isinstance(verdict, Discard):
@@ -210,6 +205,9 @@ def separate(m: BinauralSignal, cfg: SeparationConfig) -> SeparationOutcome:
     mask1_high, mask2_high = aliased_frequency_masks(grid, frames1, frames2)
     mask1 = mask1_low | mask1_high
     mask2 = mask2_low | mask2_high
+    # the feature grid is as large as both spectrograms; free it before
+    # the inversions allocate their frames
+    del grid, mask1_low, mask2_low, mask1_high, mask2_high
 
     return Separated(
         source1=_apply_masks_and_invert(spec_l, spec_r, mask1),

@@ -15,6 +15,16 @@ three-coefficient spectrum of the periodic Hann (an integer-bin sinusoid
 leaks only into adjacent bins) while being strictly positive at every
 sample, so the squared-window-sum division reconstructs every sample of
 the input exactly, edges included.
+
+Synthesis is a phase-wise overlap-add. With ``P = ceil(N/hop)``, frames
+``r, r+P, r+2P, ...`` start ``P*hop >= N`` samples apart and never
+overlap, so each of the ``P`` phases is one vectorised add into a
+``(frames, P*hop)`` view of the output instead of one add per frame. The
+squared-window sum is built the same way from a broadcast of ``w**2``.
+At the default ``hop = N/2`` each output sample sums at most two frames,
+and a two-term floating-point sum does not depend on its order, so the
+result equals a frame-by-frame loop's bit for bit; with more overlap the
+summation order differs and results agree to rounding.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import Waveform
 
@@ -108,34 +119,48 @@ def stft(x: Waveform, cfg: StftConfig) -> Spectrogram:
     padded = np.zeros(padded_len)
     padded[lead : lead + len(x)] = x.samples
 
-    idx = np.arange(cfg.fft_size)[None, :] + cfg.hop * np.arange(n_frames)[:, None]
-    frames = padded[idx] * _window(cfg.fft_size)
-    return Spectrogram(np.fft.rfft(frames, axis=1), cfg, len(x))
+    frames = sliding_window_view(padded, cfg.fft_size)[:: cfg.hop]
+    return Spectrogram(
+        np.fft.rfft(frames * _window(cfg.fft_size), axis=1), cfg, len(x)
+    )
+
+
+def _overlap_add(frames: np.ndarray, hop: int, out_len: int) -> np.ndarray:
+    """Sum frame t into ``out[t*hop : t*hop + N]`` for every t, one phase at a time."""
+    n_frames, size = frames.shape
+    phases = -(-size // hop)
+    stride = phases * hop
+    # phase r's view spans whole strides from r * hop, so it ends by
+    # (n_frames + phases - 1) * hop, which is at least out_len
+    acc = np.zeros((n_frames + phases - 1) * hop)
+    for r in range(phases):
+        group = frames[r::phases]
+        start = r * hop
+        view = acc[start : start + group.shape[0] * stride].reshape(-1, stride)
+        view[:, :size] += group
+    return acc[:out_len]
 
 
 def istft(spec: Spectrogram) -> Waveform:
     cfg = spec.config
     win = _window(cfg.fft_size)
-    frames = np.fft.irfft(spec.bins, n=cfg.fft_size, axis=1) * win
-
-    n_frames = spec.num_frames
-    out_len = (n_frames - 1) * cfg.hop + cfg.fft_size
-    acc = np.zeros(out_len)
-    wsum = np.zeros(out_len)
-    win_sq = win * win
-    for t in range(n_frames):
-        start = t * cfg.hop
-        acc[start : start + cfg.fft_size] += frames[t]
-        wsum[start : start + cfg.fft_size] += win_sq
-
+    out_len = (spec.num_frames - 1) * cfg.hop + cfg.fft_size
     lead = _lead_pad(cfg)
     keep = min(spec.original_length, out_len - lead)
-    if np.any(wsum[lead : lead + keep] < WSUM_FLOOR):
+    wsum = _overlap_add(
+        np.broadcast_to(win * win, (spec.num_frames, cfg.fft_size)), cfg.hop, out_len
+    )[lead : lead + keep]
+    if np.any(wsum < WSUM_FLOOR):
         raise ValueError(
             "overlapped squared-window sum underflows the 1e-12 floor; "
             "check fft_size/hop configuration"
         )
-    out = acc[lead : lead + keep] / wsum[lead : lead + keep]
+
+    frames = np.fft.irfft(spec.bins, n=cfg.fft_size, axis=1)
+    frames *= win
+    out = _overlap_add(frames, cfg.hop, out_len)[lead : lead + keep]
+    del frames
+    out /= wsum
     if keep < spec.original_length:
         out = np.concatenate([out, np.zeros(spec.original_length - keep)])
     return Waveform(out, cfg.sample_rate)

@@ -4,7 +4,8 @@ import json
 
 import numpy as np
 
-from regionsep import read_manifest, write_wav
+import regionsep.cli as cli
+from regionsep import Waveform, make_source_pool, read_manifest, write_wav
 from regionsep.cli import main
 from helpers import single_source_scene, tree_digest, two_source_scene
 
@@ -169,9 +170,40 @@ def test_dataset_command(tmp_path):
 
 
 def test_mono_input_rejected(tmp_path, capsys):
-    from regionsep import Waveform
-
     wav = tmp_path / "mono.wav"
     write_wav(Waveform(np.zeros(8000), 16000), wav)
     assert main(["separate", str(wav), "--out", str(tmp_path / "o")]) == 2
     assert "stereo" in capsys.readouterr().err
+
+
+def test_separate_truncated_input_exit_3(tmp_path, capsys):
+    mixture, *_ = two_source_scene(315.0, 45.0, seed=22, duration=1.0)
+    wav = tmp_path / "cut.wav"
+    write_wav(mixture, wav)
+    wav.write_bytes(wav.read_bytes()[:-1001])
+    assert main(["separate", str(wav), "--out", str(tmp_path / "o")]) == 3
+    assert "truncated 'data' chunk" in capsys.readouterr().err
+
+
+def test_dataset_counts_clipped_samples(tmp_path, monkeypatch):
+    # near-full-scale sources: their mixtures and tuples exceed [-1, 1]
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    sources = make_source_pool(seed=5, count=4, duration=2.0, sample_rate=16000)
+    for name, wave in sources.items():
+        loud = wave.samples * (0.99 / np.max(np.abs(wave.samples)))
+        write_wav(Waveform(loud, 16000), pool / f"{name}.wav")
+    counts = []
+
+    def counting_write_wav(signal, path):
+        counts.append(write_wav(signal, path))
+        return counts[-1]
+
+    monkeypatch.setattr(cli, "write_wav", counting_write_wav)
+    out = tmp_path / "db"
+    argv = ["dataset", "--out", str(out), "--seed", "11", "--num", "6"]
+    argv += ["--pool", str(pool), "--tuples", "3", "--k-min", "2", "--k-max", "3"]
+    assert main(argv) == 0
+    stats = json.loads((out / "stats.json").read_text())
+    assert sum(counts) > 0
+    assert stats["clipped_samples"] == sum(counts)

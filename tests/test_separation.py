@@ -1,5 +1,7 @@
 """Selective spatial separation pipeline tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,11 @@ from regionsep import (
     Waveform,
     aliased_frequency_masks,
     dominance_sets,
+    istft,
     low_frequency_masks,
     separate,
     snri,
+    stft,
 )
 from regionsep.features import FeatureGrid
 from regionsep.itd_model import REASON_PEAKS_TOO_CLOSE
@@ -198,3 +202,29 @@ def test_input_validation():
     )
     with pytest.raises(ValueError, match="rate"):
         separate(wrong_rate, cfg)
+
+
+def test_separated_channels_equal_istft_of_masked_spectrograms():
+    cfg = SeparationConfig()
+    mixture, *_ = two_source_scene(315.0, 45.0, seed=202)
+    outcome = separate(mixture, cfg)
+    assert isinstance(outcome, Separated)
+    for mask, est in zip(outcome.masks, (outcome.source1, outcome.source2)):
+        for side in ("left", "right"):
+            spec = stft(getattr(mixture, side), cfg.stft)
+            want = istft(spec.masked(mask)).samples
+            assert np.array_equal(getattr(est, side).samples, want)
+
+
+def test_separate_traced_memory_per_input_second():
+    # the peak of everything separate() allocates, per second of input
+    seconds = 20.0
+    mixture, *_ = two_source_scene(315.0, 45.0, seed=202, duration=seconds)
+    tracemalloc.start()
+    try:
+        outcome = separate(mixture, SeparationConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(outcome, Separated)
+    assert peak / 1e6 / seconds <= 2.0

@@ -109,3 +109,51 @@ def test_spectrogram_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         Spectrogram(bad, cfg, 2048)
+
+
+def _istft_oracle(spec):
+    """Frame-by-frame weighted overlap-add: the reference istft is held to."""
+    cfg = spec.config
+    n, hop = cfg.fft_size, cfg.hop
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * (np.arange(n) + 0.5) / n)
+    frames = np.fft.irfft(spec.bins, n=n, axis=1) * win
+    out_len = (spec.num_frames - 1) * hop + n
+    acc = np.zeros(out_len)
+    wsum = np.zeros(out_len)
+    for t in range(spec.num_frames):
+        acc[t * hop : t * hop + n] += frames[t]
+        wsum[t * hop : t * hop + n] += win * win
+    lead = n // 2
+    keep = min(spec.original_length, out_len - lead)
+    out = acc[lead : lead + keep] / wsum[lead : lead + keep]
+    return np.concatenate([out, np.zeros(spec.original_length - keep)])
+
+
+@pytest.mark.parametrize(
+    "fft_size, hop, exact",
+    [(1024, 512, True), (1024, 256, False), (1024, 384, False), (256, 128, True)],
+)
+def test_istft_matches_frame_loop_oracle(fft_size, hop, exact):
+    # at hop = N/2 every sample sums two frames, so the phase-wise overlap-add
+    # is bit-identical; with more overlap only the summation order differs
+    cfg = StftConfig(fft_size=fft_size, hop=hop, sample_rate=16000)
+    rng = np.random.default_rng(fft_size + hop)
+    x = Waveform(rng.standard_normal(20001) * 0.1, 16000)
+    spec = stft(x, cfg)
+    mask = rng.random(spec.bins.shape) < 0.5
+    for s in (spec, spec.masked(mask)):
+        got = istft(s).samples
+        want = _istft_oracle(s)
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_istft_keeps_original_length_beyond_frames():
+    cfg = clustering_config()
+    bins = np.random.default_rng(3).standard_normal((4, 513)) + 0j
+    spec = Spectrogram(bins, cfg, 5000)  # four frames cover fewer samples
+    back = istft(spec)
+    assert len(back) == 5000
+    assert np.array_equal(back.samples, _istft_oracle(spec))

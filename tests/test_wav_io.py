@@ -101,6 +101,35 @@ def test_float32_read(tmp_path):
     assert np.allclose(wave.samples, samples.astype(np.float64))
 
 
+def test_truncated_data_chunk_rejected(tmp_path):
+    signal = Waveform(np.linspace(-0.5, 0.5, 1000), 16000)
+    path = tmp_path / "cut.wav"
+    write_wav(signal, path)
+    path.write_bytes(path.read_bytes()[:1000])  # cut mid-chunk
+    with pytest.raises(AudioFormatError, match="truncated 'data' chunk"):
+        read_wav(path)
+
+
+def test_truncated_trailing_chunk_ignored(tmp_path):
+    # complete fmt and data chunks followed by a cut-off LIST chunk: no
+    # audio is missing, so the file still reads
+    signal = Waveform(np.linspace(-0.5, 0.5, 1000), 16000)
+    path = tmp_path / "tail.wav"
+    write_wav(signal, path)
+    whole = read_wav(path).samples
+    path.write_bytes(path.read_bytes() + b"LIST" + struct.pack("<I", 64) + b"INFO")
+    assert np.array_equal(read_wav(path).samples, whole)
+
+
+@pytest.mark.parametrize("channels, payload_bytes", [(1, 3), (2, 6)])
+def test_partial_frame_rejected(tmp_path, channels, payload_bytes):
+    # odd-byte PCM-16, and a stereo payload ending half-way through a frame
+    path = tmp_path / "partial.wav"
+    path.write_bytes(_pcm16_wav(channels, 16000, b"\x01" * payload_bytes))
+    with pytest.raises(AudioFormatError, match="partial"):
+        read_wav(path)
+
+
 def test_not_riff_rejected(tmp_path):
     path = tmp_path / "bad.wav"
     path.write_bytes(b"OggS" + b"\x00" * 40)
