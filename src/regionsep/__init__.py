@@ -13,6 +13,7 @@ from .dataset import (
     TrainingTuple,
     build_dirty_sources,
     build_training_tuples,
+    harvest_mixtures,
 )
 from .features import FeatureGrid, aliasing_bin, aliasing_frequency, compute_features
 from .hrir import HrirBank, load_hrir_bank, save_hrir_bank

@@ -2,8 +2,11 @@
 
 Every command is a pure function of its inputs, config, and seed; reruns
 produce checksum-identical output trees. All randomness is split from one
-top-level seed, and --jobs only parallelizes across independent scenes or
-mixtures with results merged in seed order.
+top-level seed, and --jobs (at least 1) only parallelizes across
+independent scenes or mixtures. The inputs every job shares (source pool,
+HRIR bank, configs) go to each worker process once; a job carries only its
+index and seed. Results are merged in seed order and written as they
+arrive, while the workers keep computing.
 
 Exit codes: 0 success (including discards), 2 config error, 3 I/O error,
 4 internal invariant breach.
@@ -16,25 +19,25 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
 
 from .audio import AudioFormatError, BinauralSignal, read_wav, write_wav
 from .dataset import (
+    PROVENANCE_SINGLE,
     DirtyBuildStats,
-    _separate_one_mixture,
     build_training_tuples,
-    draw_mixture_params,
+    harvest_mixtures,
 )
 from .hrir import load_hrir_bank
 from .itd_model import EmSettings
 from .manifest import ManifestEntry, write_manifest
 from .metrics import evaluate_regions
+from .parallel import ordered_map
 from .scenes import (
     RegionMixtureSet,
-    SceneSpec,
     default_layout_r3,
     make_spherical_bank,
     random_scene,
@@ -59,32 +62,16 @@ class ConfigError(ValueError):
     pass
 
 
-_CONFIG_KEYS = (
-    "seed",
-    "f_aliasing",
-    "sigma_th",
-    "delta_tau_min",
-    "delta_tau_max",
-    "alpha",
-    "fft_size",
-    "hop",
-    "sample_rate",
-    "energy_floor_db",
-    "clean_ratio",
-    "duration",
-)
+# config keys that set a field of SeparationConfig, and of its StftConfig
+_SEP_KEYS = ("f_aliasing", "sigma_th", "delta_tau_min", "alpha", "energy_floor_db")
+_STFT_KEYS = ("fft_size", "hop", "sample_rate")
 
+# every config key with its default: the library configs' own, then the CLI's
 _DEFAULTS = {
+    **{key: getattr(SeparationConfig(), key) for key in _SEP_KEYS},
+    **{key: getattr(SeparationConfig().stft, key) for key in _STFT_KEYS},
     "seed": 0,
-    "f_aliasing": 562.0,
-    "sigma_th": 7e-5,
-    "delta_tau_min": 6e-4,
     "delta_tau_max": DEFAULT_DELTA_TAU_MAX,
-    "alpha": 5.0,
-    "fft_size": 1024,
-    "hop": 512,
-    "sample_rate": 16000,
-    "energy_floor_db": 30.0,
     "clean_ratio": 0.5,
     "duration": 4.0,
 }
@@ -98,11 +85,11 @@ def _load_params(args) -> dict:
             file_values = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        unknown = set(file_values) - set(_CONFIG_KEYS)
+        unknown = set(file_values) - set(_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         params.update(file_values)
-    for key in _CONFIG_KEYS:
+    for key in _DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
             params[key] = flag
@@ -112,21 +99,19 @@ def _load_params(args) -> dict:
 def _separation_config(params: dict) -> SeparationConfig:
     try:
         return SeparationConfig(
-            stft=StftConfig(
-                fft_size=int(params["fft_size"]),
-                hop=int(params["hop"]),
-                sample_rate=int(params["sample_rate"]),
-            ),
-            f_aliasing=float(params["f_aliasing"]),
-            sigma_th=float(params["sigma_th"]),
-            delta_tau_min=float(params["delta_tau_min"]),
-            alpha=float(params["alpha"]),
-            energy_floor_db=float(params["energy_floor_db"]),
+            stft=StftConfig(**{key: int(params[key]) for key in _STFT_KEYS}),
+            **{key: float(params[key]) for key in _SEP_KEYS},
             em=EmSettings(seed=int(params["seed"])),
             seed=int(params["seed"]),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _jobs(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    return args.jobs
 
 
 def _load_pool(args, params: dict) -> dict:
@@ -160,18 +145,19 @@ def _load_bank(args, params: dict):
     )
 
 
-def _write_scene(out_dir: Path, spec: SceneSpec, mixture_set: RegionMixtureSet):
+def _write_regions(out_dir: Path, mixture, regions) -> int:
+    """Write mixture.wav and region_N.wav; return the samples clipped."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "scene.json").write_text(spec.to_json() + "\n")
-    write_wav(mixture_set.mixture, out_dir / "mixture.wav")
-    for i, sig in enumerate(mixture_set.region_signals, start=1):
-        write_wav(sig, out_dir / f"region_{i}.wav")
+    clipped = write_wav(mixture, out_dir / "mixture.wav")
+    for i, sig in enumerate(regions, start=1):
+        clipped += write_wav(sig, out_dir / f"region_{i}.wav")
+    return clipped
 
 
-def _synth_one(job):
-    """Worker: render one random scene. Returns (index, spec, mixture set)."""
-    index, seed_seq, k_range, duration, pool, bank = job
-    layout = default_layout_r3()
+def _synth_one(shared, task):
+    """Render one random scene. Returns (index, spec, mixture set)."""
+    layout, k_range, duration, pool, bank = shared
+    index, seed_seq = task
     scene_seed = int(seed_seq.generate_state(1)[0])
     spec = random_scene(
         k_range, layout, bank, sorted(pool), seed=scene_seed, duration=duration
@@ -180,28 +166,24 @@ def _synth_one(job):
 
 
 def cmd_synth(args) -> int:
+    jobs = _jobs(args)
     params = _load_params(args)
     _separation_config(params)  # validate shared numeric invariants early
     pool = _load_pool(args, params)
     bank = _load_bank(args, params)
     out = Path(args.out)
 
+    k_range = (args.k_min, args.k_max)
+    shared = (default_layout_r3(), k_range, float(params["duration"]), pool, bank)
     root = np.random.SeedSequence(int(params["seed"]))
-    jobs = [
-        (i, child, (args.k_min, args.k_max), float(params["duration"]), pool, bank)
-        for i, child in enumerate(root.spawn(args.num_scenes))
-    ]
-    for index, spec, mixture_set in _run_jobs(_synth_one, jobs, args.jobs):
-        _write_scene(out / f"scene_{index:04d}", spec, mixture_set)
+    tasks = enumerate(root.spawn(args.num_scenes))
+    with closing(ordered_map(_synth_one, shared, tasks, jobs)) as results:
+        for index, spec, mixture_set in results:
+            sdir = out / f"scene_{index:04d}"
+            _write_regions(sdir, mixture_set.mixture, mixture_set.region_signals)
+            (sdir / "scene.json").write_text(spec.to_json() + "\n")
     log.info("wrote %d scenes to %s", args.num_scenes, out)
     return EXIT_OK
-
-
-def _run_jobs(fn, jobs, n_workers):
-    if n_workers <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, jobs))
 
 
 def cmd_separate(args) -> int:
@@ -219,14 +201,9 @@ def cmd_separate(args) -> int:
     entries = []
     if isinstance(outcome, Passthrough):
         write_wav(outcome.signal, out / "passthrough.wav")
+        itd, region = outcome.itd, region_of_itd(outcome.itd, dtm)
         entries.append(
-            ManifestEntry(
-                path="passthrough.wav",
-                itd=outcome.itd,
-                region=region_of_itd(outcome.itd, dtm),
-                outcome="passthrough",
-                source_id=source_id,
-            )
+            ManifestEntry("passthrough.wav", itd, region, "passthrough", source_id)
         )
     elif isinstance(outcome, Separated):
         for name, sig, itd in (
@@ -234,32 +211,21 @@ def cmd_separate(args) -> int:
             ("source2.wav", outcome.source2, outcome.itd2),
         ):
             write_wav(sig, out / name)
-            entries.append(
-                ManifestEntry(
-                    path=name,
-                    itd=itd,
-                    region=region_of_itd(itd, dtm),
-                    outcome="separated",
-                    source_id=source_id,
-                )
-            )
+            region = region_of_itd(itd, dtm)
+            entries.append(ManifestEntry(name, itd, region, "separated", source_id))
         if args.diagnostics:
             np.savetxt(out / "mask1.txt", outcome.masks[0].astype(np.int8), fmt="%d")
             np.savetxt(out / "mask2.txt", outcome.masks[1].astype(np.int8), fmt="%d")
             (out / "alpha.txt").write_text(f"{outcome.final_alpha!r}\n")
     else:
         assert isinstance(outcome, Discarded)
-        entries.append(
-            ManifestEntry(
-                path="",
-                itd=None,
-                region=None,
-                outcome=f"discarded:{outcome.reason}",
-                source_id=source_id,
-            )
-        )
+        entries.append(_discard_entry(outcome.reason, source_id))
     write_manifest(entries, out / "manifest.jsonl")
     return EXIT_OK
+
+
+def _discard_entry(reason: str, source_id: str) -> ManifestEntry:
+    return ManifestEntry("", None, None, f"discarded:{reason}", source_id)
 
 
 def _read_binaural(path: Path) -> BinauralSignal:
@@ -295,77 +261,37 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _dataset_worker(job):
-    index, seed_seq, pool, bank, cfg, dt_min, dt_max = job
-    rng = np.random.default_rng(seed_seq)
-    id1, az1, id2, az2 = draw_mixture_params(
-        rng, sorted(pool), bank.azimuths, dt_min, dt_max
-    )
-    return index, _separate_one_mixture(
-        f"mix{index:05d}", id1, az1, id2, az2, pool, bank, cfg, dt_max
-    )
-
-
 def cmd_dataset(args) -> int:
+    jobs = _jobs(args)
     params = _load_params(args)
     cfg = _separation_config(params)
     pool = _load_pool(args, params)
     bank = _load_bank(args, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dt_min = float(params["delta_tau_min"])
-    dt_max = float(params["delta_tau_max"])
 
-    root = np.random.SeedSequence(int(params["seed"]))
-    jobs = [
-        (i, child, pool, bank, cfg, dt_min, dt_max)
-        for i, child in enumerate(root.spawn(args.num))
-    ]
-    results = _run_jobs(_dataset_worker, jobs, args.jobs)
-
+    dt_min, dt_max = float(params["delta_tau_min"]), float(params["delta_tau_max"])
+    seed = int(params["seed"])
+    results = harvest_mixtures(pool, bank, cfg, dt_min, dt_max, args.num, seed, jobs)
     records = []
     stats = DirtyBuildStats()
-    entries = []
-    clipped = 0
-    for index, (new_records, discard_reason) in results:
-        stats.n_mixtures += 1
-        if discard_reason is not None:
-            stats.n_discarded += 1
-            stats.discard_reasons[discard_reason] = (
-                stats.discard_reasons.get(discard_reason, 0) + 1
-            )
-            entries.append(
-                ManifestEntry(
-                    path="",
-                    itd=None,
-                    region=None,
-                    outcome=f"discarded:{discard_reason}",
-                    source_id=f"mix{index:05d}",
+    clipped = 0  # samples clipped to full scale in every WAV written, tuples too
+    with closing(results), open(out / "manifest.jsonl", "w") as manifest:
+        for index, new_records, discard_reason in results:
+            stats.add(new_records, discard_reason)
+            entries = []
+            if discard_reason is not None:
+                entries.append(_discard_entry(discard_reason, f"mix{index:05d}"))
+            for j, rec in enumerate(new_records):
+                name = f"mix{index:05d}_{j}.wav"
+                clipped += write_wav(rec.signal, out / name)
+                single = rec.provenance == PROVENANCE_SINGLE
+                outcome = "passthrough" if single else "separated"
+                entries.append(
+                    ManifestEntry(name, rec.itd, rec.region, outcome, rec.origin_scene)
                 )
-            )
-            continue
-        if len(new_records) == 1:
-            stats.n_passthrough += 1
-        else:
-            stats.n_separated += 1
-        for j, rec in enumerate(new_records):
-            name = f"mix{index:05d}_{j}.wav"
-            clipped += write_wav(rec.signal, out / name)
-            entries.append(
-                ManifestEntry(
-                    path=name,
-                    itd=rec.itd,
-                    region=rec.region,
-                    outcome=(
-                        "passthrough"
-                        if rec.provenance == "stage1_single"
-                        else "separated"
-                    ),
-                    source_id=rec.origin_scene,
-                )
-            )
-            records.append(rec)
-    write_manifest(entries, out / "manifest.jsonl")
+            manifest.writelines(e.to_json() + "\n" for e in entries)
+            records.extend(new_records)
 
     if args.tuples > 0 and records:
         tuples = build_training_tuples(
@@ -374,23 +300,14 @@ def cmd_dataset(args) -> int:
             (args.k_min, args.k_max),
             float(params["clean_ratio"]),
             args.tuples,
-            seed=int(params["seed"]) ^ 0x70B1E5,
+            seed=seed ^ 0x70B1E5,
         )
         for t, tup in enumerate(tuples):
             tdir = out / f"tuple_{t:04d}"
-            tdir.mkdir(exist_ok=True)
-            clipped += write_wav(tup.mixture, tdir / "mixture.wav")
-            for r, ref in enumerate(tup.references, start=1):
-                clipped += write_wav(ref, tdir / f"region_{r}.wav")
-            (tdir / "meta.json").write_text(
-                json.dumps(
-                    {"active": list(tup.active), "provenances": list(tup.provenances)},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            clipped += _write_regions(tdir, tup.mixture, tup.references)
+            meta = {"active": list(tup.active), "provenances": list(tup.provenances)}
+            (tdir / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
 
-    # samples clipped to full scale in every WAV above, sources and tuples
     record = {**stats.to_record(), "clipped_samples": clipped}
     (out / "stats.json").write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n"
@@ -413,6 +330,18 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--duration", type=float)
 
 
+def _add_pool_flags(parser: argparse.ArgumentParser):
+    """Flags of the commands that render pool sources: synth and dataset."""
+    parser.add_argument("--k-min", type=int, default=2)
+    parser.add_argument("--k-max", type=int, default=5)
+    parser.add_argument("--pool", help="directory of mono WAV sources")
+    parser.add_argument("--pool-size", type=int, default=8)
+    parser.add_argument("--hrir-bank", help="HRIR bank file")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, at least 1"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regionsep", description="Region-based binaural voice separation"
@@ -423,12 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_synth)
     p_synth.add_argument("--out", required=True)
     p_synth.add_argument("--num-scenes", type=int, default=10)
-    p_synth.add_argument("--k-min", type=int, default=2)
-    p_synth.add_argument("--k-max", type=int, default=5)
-    p_synth.add_argument("--pool", help="directory of mono WAV sources")
-    p_synth.add_argument("--pool-size", type=int, default=8)
-    p_synth.add_argument("--hrir-bank", help="HRIR bank file")
-    p_synth.add_argument("--jobs", type=int, default=1)
+    _add_pool_flags(p_synth)
     p_synth.set_defaults(func=cmd_synth)
 
     p_sep = sub.add_parser("separate", help="run selective spatial separation")
@@ -451,12 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_data.add_argument("--num", type=int, default=20)
     p_data.add_argument("--tuples", type=int, default=0)
     p_data.add_argument("--clean-ratio", dest="clean_ratio", type=float)
-    p_data.add_argument("--k-min", type=int, default=2)
-    p_data.add_argument("--k-max", type=int, default=5)
-    p_data.add_argument("--pool", help="directory of mono WAV sources")
-    p_data.add_argument("--pool-size", type=int, default=8)
-    p_data.add_argument("--hrir-bank", help="HRIR bank file")
-    p_data.add_argument("--jobs", type=int, default=1)
+    _add_pool_flags(p_data)
     p_data.set_defaults(func=cmd_dataset)
 
     return parser

@@ -10,13 +10,15 @@ a configurable rate.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .audio import BinauralSignal, Waveform
 from .hrir import HrirBank
+from .parallel import ordered_map
 from .scenes import RegionLayout, region_of_itd, render_binaural_source, spherical_itd
 from .separation import Discarded, Passthrough, Separated, SeparationConfig, separate
 
@@ -53,6 +55,17 @@ class DirtyBuildStats:
     n_separated: int = 0
     n_discarded: int = 0
     discard_reasons: Dict[str, int] = field(default_factory=dict)
+
+    def add(self, records: Sequence[SourceRecord], reason: Optional[str]) -> None:
+        """Count one mixture's outcome: a discard reason, or its records."""
+        self.n_mixtures += 1
+        if reason is not None:
+            self.n_discarded += 1
+            self.discard_reasons[reason] = self.discard_reasons.get(reason, 0) + 1
+        elif len(records) == 1:
+            self.n_passthrough += 1
+        else:
+            self.n_separated += 1
 
     @property
     def acceptance_rate(self) -> float:
@@ -96,18 +109,18 @@ def draw_mixture_params(
     )
 
 
-def _separate_one_mixture(
-    scene_id: str,
-    id1: str,
-    az1: float,
-    id2: str,
-    az2: float,
-    pool: Mapping[str, Waveform],
-    bank: HrirBank,
-    cfg: SeparationConfig,
-    delta_tau_max: float,
-) -> Tuple[List[SourceRecord], Optional[str]]:
-    """Render a 2-source mixture, run stage 1, harvest labeled records."""
+HarvestResult = Tuple[int, List[SourceRecord], Optional[str]]
+
+
+def _harvest_one(shared, task) -> HarvestResult:
+    """Draw mixture ``index``, render it, run stage 1, harvest labeled records."""
+    pool, bank, cfg, delta_tau_min, delta_tau_max = shared
+    index, seed_seq = task
+    scene_id = f"mix{index:05d}"
+    rng = np.random.default_rng(seed_seq)
+    id1, az1, id2, az2 = draw_mixture_params(
+        rng, sorted(pool), bank.azimuths, delta_tau_min, delta_tau_max
+    )
     duration = max(pool[id1].duration, pool[id2].duration)
     s1 = render_binaural_source(pool[id1], bank, az1, duration)
     s2 = render_binaural_source(pool[id2], bank, az2, duration)
@@ -118,7 +131,7 @@ def _separate_one_mixture(
 
     outcome = separate(mixture, cfg)
     if isinstance(outcome, Discarded):
-        return [], outcome.reason
+        return index, [], outcome.reason
     if isinstance(outcome, Passthrough):
         record = SourceRecord(
             signal=outcome.signal,
@@ -127,7 +140,7 @@ def _separate_one_mixture(
             provenance=PROVENANCE_SINGLE,
             origin_scene=scene_id,
         )
-        return [record], None
+        return index, [record], None
 
     assert isinstance(outcome, Separated)
     true_itds = (spherical_itd(az1, delta_tau_max), spherical_itd(az2, delta_tau_max))
@@ -145,7 +158,29 @@ def _separate_one_mixture(
                 clean_signal=(s1, s2)[nearest],
             )
         )
-    return records, None
+    return index, records, None
+
+
+def harvest_mixtures(
+    pool: Mapping[str, Waveform],
+    bank: HrirBank,
+    cfg: SeparationConfig,
+    delta_tau_min: float,
+    delta_tau_max: float,
+    n: int,
+    seed: int,
+    jobs: int = 1,
+) -> Iterator[HarvestResult]:
+    """Yield ``(index, records, discard_reason)`` for ``n`` seeded mixtures.
+
+    Mixture ``i`` draws its pair and azimuths from child ``i`` of
+    ``SeedSequence(seed)``, so results do not depend on ``jobs``. They are
+    yielded in index order; with ``jobs > 1`` a process pool computes them,
+    receiving the pool, bank and configs once per worker.
+    """
+    shared = (pool, bank, cfg, delta_tau_min, delta_tau_max)
+    tasks = enumerate(np.random.SeedSequence(seed).spawn(n))
+    return ordered_map(_harvest_one, shared, tasks, jobs)
 
 
 def build_dirty_sources(
@@ -157,43 +192,30 @@ def build_dirty_sources(
     n: int,
     seed: int,
     max_duration: Optional[float] = None,
+    jobs: int = 1,
 ) -> Tuple[List[SourceRecord], DirtyBuildStats]:
     """Mix clean sources pairwise, separate, and harvest labeled outputs.
 
     ``max_duration`` caps the total seconds of harvested audio (the
-    few-shot "personal data budget" knob); generation stops once reached.
+    few-shot "personal data budget" knob); generation stops once reached,
+    at the same record for any ``jobs`` (see ``harvest_mixtures``).
     """
-    pool_ids = sorted(pool)
-    azimuths = bank.azimuths
-    children = np.random.SeedSequence(seed).spawn(n)
-
+    if max_duration is not None and max_duration <= 0:
+        n = 0
     records: List[SourceRecord] = []
     stats = DirtyBuildStats()
     harvested_seconds = 0.0
-    for i in range(n):
-        if max_duration is not None and harvested_seconds >= max_duration:
-            break
-        rng = np.random.default_rng(children[i])
-        id1, az1, id2, az2 = draw_mixture_params(
-            rng, pool_ids, azimuths, delta_tau_min, delta_tau_max
-        )
-        new_records, discard_reason = _separate_one_mixture(
-            f"mix{i:05d}", id1, az1, id2, az2, pool, bank, cfg, delta_tau_max
-        )
-        stats.n_mixtures += 1
-        if discard_reason is not None:
-            stats.n_discarded += 1
-            stats.discard_reasons[discard_reason] = (
-                stats.discard_reasons.get(discard_reason, 0) + 1
-            )
-            continue
-        if len(new_records) == 1:
-            stats.n_passthrough += 1
-        else:
-            stats.n_separated += 1
-        for rec in new_records:
-            records.append(rec)
-            harvested_seconds += rec.signal.left.duration
+    results = harvest_mixtures(
+        pool, bank, cfg, delta_tau_min, delta_tau_max, n, seed, jobs
+    )
+    with closing(results):
+        for _, new_records, discard_reason in results:
+            stats.add(new_records, discard_reason)
+            records.extend(new_records)
+            for rec in new_records:
+                harvested_seconds += rec.signal.left.duration
+            if max_duration is not None and harvested_seconds >= max_duration:
+                break
     return records, stats
 
 

@@ -361,7 +361,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     assert eval_digests[0] == eval_digests[1]
 
     data_digests = []
-    for name, jobs in (("d1", 1), ("d2", 1), ("d8", 8)):
+    for name, jobs in (("d1", 1), ("d2", 1), ("d8", 8), ("dj2", 2)):
         out = tmp_path / name
         _run_cli(
             [
@@ -380,8 +380,11 @@ def test_criterion_9_cli_determinism(tmp_path):
             + common
         )
         data_digests.append(tree_digest(out))
-    assert data_digests[0] == data_digests[1] == data_digests[2]
-    print("ACCEPTANCE 9 CLI determinism: PASS (synth/separate/eval/dataset, jobs 1 & 8)")
+    assert data_digests[0] == data_digests[1] == data_digests[2] == data_digests[3]
+    print(
+        "ACCEPTANCE 9 CLI determinism: PASS "
+        "(synth/separate/eval/dataset, jobs 1 & 8, dataset also jobs 2)"
+    )
 
 
 def test_criterion_10_mask_algebra_across_suite():

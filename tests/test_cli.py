@@ -1,12 +1,24 @@
 """Command-line interface tests (in-process invocations)."""
 
 import json
+import pickle
+from collections import Counter
 
 import numpy as np
 
 import regionsep.cli as cli
-from regionsep import Waveform, make_source_pool, read_manifest, write_wav
+import regionsep.parallel as parallel
+from regionsep import (
+    EmSettings,
+    SeparationConfig,
+    Waveform,
+    build_dirty_sources,
+    make_source_pool,
+    read_manifest,
+    write_wav,
+)
 from regionsep.cli import main
+from helpers import DTM, spherical_bank
 from helpers import single_source_scene, tree_digest, two_source_scene
 
 
@@ -207,3 +219,64 @@ def test_dataset_counts_clipped_samples(tmp_path, monkeypatch):
     stats = json.loads((out / "stats.json").read_text())
     assert sum(counts) > 0
     assert stats["clipped_samples"] == sum(counts)
+
+
+def test_cli_defaults_equal_separation_config():
+    args = cli.build_parser().parse_args(["separate", "in.wav", "--out", "o"])
+    assert cli._separation_config(cli._load_params(args)) == SeparationConfig()
+
+
+def test_jobs_below_one_exit_2(tmp_path, capsys):
+    for jobs in ("0", "-2"):
+        assert _synth(tmp_path / f"s{jobs}", jobs=jobs) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        argv = ["dataset", "--out", str(tmp_path / f"d{jobs}"), "--jobs", jobs]
+        assert main(argv) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_dataset_command_matches_build_dirty_sources(tmp_path):
+    seed = 11
+    out = tmp_path / "db"
+    argv = ["dataset", "--out", str(out), "--seed", str(seed), "--num", "8"]
+    argv += ["--duration", "2.0", "--pool-size", "4", "--jobs", "2"]
+    assert main(argv) == 0
+    pool = make_source_pool(
+        seed=seed ^ 0x5EED, count=4, duration=2.0, sample_rate=16000
+    )
+    cfg = SeparationConfig(em=EmSettings(seed=seed), seed=seed)
+    records, stats = build_dirty_sources(
+        pool, spherical_bank(), cfg, 6e-4, DTM, n=8, seed=seed
+    )
+    assert records and stats.n_discarded > 0
+
+    written = json.loads((out / "stats.json").read_text())
+    assert {key: written[key] for key in stats.to_record()} == stats.to_record()
+    entries = read_manifest(out / "manifest.jsonl")
+    discards = Counter(e.outcome.split(":", 1)[1] for e in entries if not e.path)
+    assert discards == stats.discard_reasons
+    kept = [e for e in entries if e.path]
+    assert [(e.itd, e.region, e.source_id) for e in kept] == [
+        (r.itd, r.region, r.origin_scene) for r in records
+    ]
+    for entry, rec in zip(kept, records):
+        write_wav(rec.signal, tmp_path / "record.wav")
+        assert (out / entry.path).read_bytes() == (tmp_path / "record.wav").read_bytes()
+
+
+def test_pool_tasks_pickle_small(tmp_path, monkeypatch):
+    # what the pool path would send per task, collected without a pool
+    sizes = []
+
+    def recording_pool(fn, shared, tasks, n_workers):
+        for task in tasks:
+            sizes.append(len(pickle.dumps((parallel._call_installed, task))))
+            yield fn(shared, task)
+
+    monkeypatch.setattr(parallel, "_pooled", recording_pool)
+    argv = ["dataset", "--out", str(tmp_path / "db"), "--num", "4", "--jobs", "2"]
+    assert main(argv + ["--duration", "1.0", "--pool-size", "4"]) == 0
+    assert _synth(tmp_path / "scenes", num=3, jobs=2) == 0
+    assert len(sizes) == 4 + 3
+    assert max(sizes) < 1024

@@ -17,6 +17,7 @@ from regionsep import (
 )
 from regionsep.dataset import (
     PROVENANCE_CLEAN,
+    DirtyBuildStats,
     PROVENANCE_SEPARATED,
     PROVENANCE_SINGLE,
     draw_mixture_params,
@@ -103,6 +104,47 @@ def test_max_duration_budget(pool):
     total = sum(r.signal.left.duration for r in records)
     assert total <= 3.0 + 2 * 2.0
     assert stats.n_mixtures < 12
+
+
+def test_max_duration_stops_at_same_record_serial_and_pooled(pool):
+    runs = [
+        build_dirty_sources(
+            pool,
+            spherical_bank(),
+            SeparationConfig(),
+            DTAU_MIN,
+            DTM,
+            n=12,
+            seed=9,
+            max_duration=3.0,
+            jobs=jobs,
+        )
+        for jobs in (1, 2)
+    ]
+    (serial, serial_stats), (pooled, pooled_stats) = runs
+    assert serial_stats.n_mixtures < 12
+    assert pooled_stats.to_record() == serial_stats.to_record()
+    assert [r.origin_scene for r in pooled] == [r.origin_scene for r in serial]
+    for a, b in zip(serial, pooled):
+        assert a.itd == b.itd and a.region == b.region
+        assert np.array_equal(a.signal.left.samples, b.signal.left.samples)
+        assert np.array_equal(a.signal.right.samples, b.signal.right.samples)
+
+
+def test_dirty_build_stats_add():
+    stats = DirtyBuildStats()
+    stats.add([], "peaks_too_close")
+    stats.add([], "peaks_too_close")
+    stats.add(["single"], None)
+    stats.add(["one", "two"], None)
+    assert stats.to_record() == {
+        "n_mixtures": 4,
+        "n_passthrough": 1,
+        "n_separated": 1,
+        "n_discarded": 2,
+        "discard_reasons": {"peaks_too_close": 2},
+        "acceptance_rate": 0.5,
+    }
 
 
 def test_training_tuples_identity_and_activity(harvested):

@@ -1,0 +1,58 @@
+"""Seed-ordered map tests: worker cap, serial path, pool path."""
+
+import os
+
+import pytest
+
+import regionsep.parallel as parallel
+from regionsep.parallel import ordered_map, worker_count
+
+
+def _tag(shared, task):
+    return shared, task, os.getpid()
+
+
+def test_worker_count_caps_at_task_count():
+    assert worker_count(8, 3) == 3
+    assert worker_count(2, 12) == 2
+    assert worker_count(1, 5) == 1
+    assert worker_count(4, 0) == 0
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            worker_count(jobs, 5)
+
+
+def test_ordered_map_rejects_bad_jobs_eagerly():
+    with pytest.raises(ValueError, match="at least 1"):
+        ordered_map(_tag, None, [1, 2], jobs=0)
+
+
+def test_one_task_runs_in_process_whatever_jobs():
+    # the cap leaves one worker for one task, so no pool is started
+    (result,) = ordered_map(_tag, "shared", [7], jobs=64)
+    assert result == ("shared", 7, os.getpid())
+    assert list(ordered_map(_tag, "shared", [], jobs=64)) == []
+    assert parallel._installed is None
+
+
+def test_serial_path_is_lazy_and_leaves_no_state():
+    calls = []
+
+    def fn(shared, task):
+        calls.append(task)
+        return shared + task
+
+    results = ordered_map(fn, 10, [1, 2, 3], jobs=1)
+    assert calls == []
+    assert next(results) == 11
+    assert calls == [1]
+    assert list(results) == [12, 13]
+    assert parallel._installed is None
+
+
+def test_pool_path_keeps_task_order_and_installs_state_in_workers_only():
+    results = list(ordered_map(_tag, "shared", range(6), jobs=2))
+    assert [task for _, task, _ in results] == list(range(6))
+    assert all(shared == "shared" for shared, _, _ in results)
+    assert os.getpid() not in {pid for _, _, pid in results}
+    assert parallel._installed is None
