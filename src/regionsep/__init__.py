@@ -14,10 +14,11 @@ from .dataset import (
     build_dirty_sources,
     build_training_tuples,
     harvest_mixtures,
+    outcome_records,
 )
 from .features import FeatureGrid, aliasing_bin, aliasing_frequency, compute_features
 from .hrir import HrirBank, load_hrir_bank, save_hrir_bank
-from .manifest import ManifestEntry, append_manifest, read_manifest, write_manifest
+from .manifest import ManifestEntry, read_manifest, write_manifest
 from .itd_model import (
     Discard,
     EmSettings,
@@ -50,6 +51,7 @@ from .scenes import (
     region_of_itd,
     render_binaural_source,
     spherical_itd,
+    sum_regions,
     synth_scene,
     synth_spherical_hrir,
 )

@@ -28,8 +28,10 @@ from .audio import AudioFormatError, BinauralSignal, read_wav, write_wav
 from .dataset import (
     PROVENANCE_SINGLE,
     DirtyBuildStats,
+    SourceRecord,
     build_training_tuples,
     harvest_mixtures,
+    outcome_records,
 )
 from .hrir import load_hrir_bank
 from .itd_model import EmSettings
@@ -41,10 +43,9 @@ from .scenes import (
     default_layout_r3,
     make_spherical_bank,
     random_scene,
-    region_of_itd,
     synth_scene,
 )
-from .separation import Discarded, Passthrough, Separated, SeparationConfig, separate
+from .separation import Discarded, Separated, SeparationConfig, separate
 from .signals import make_source_pool
 from .stft import StftConfig
 
@@ -75,6 +76,8 @@ _DEFAULTS = {
     "clean_ratio": 0.5,
     "duration": 4.0,
 }
+# keys with a flag on every command but eval; only dataset takes --clean-ratio
+_FLAG_KEYS = tuple(key for key in _DEFAULTS if key != "clean_ratio")
 
 
 def _load_params(args) -> dict:
@@ -108,13 +111,25 @@ def _separation_config(params: dict) -> SeparationConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _jobs(args) -> int:
+def _check_pool_args(args, *counts: str) -> int:
+    """Reject a bad --jobs, k range or negative count of synth/dataset; return jobs.
+
+    ``counts`` are the dests of the command's count flags.
+    """
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    if not 1 <= args.k_min <= args.k_max:
+        raise ConfigError(
+            f"need 1 <= --k-min <= --k-max, got {args.k_min} and {args.k_max}"
+        )
+    for dest in counts:
+        if getattr(args, dest) < 0:
+            flag = "--" + dest.replace("_", "-")
+            raise ConfigError(f"{flag} must be at least 0, got {getattr(args, dest)}")
     return args.jobs
 
 
-def _load_pool(args, params: dict) -> dict:
+def _load_pool(args, params: dict, min_sources: int) -> dict:
     """WAV directory if given, else a seeded synthetic band-noise pool."""
     if getattr(args, "pool", None):
         pool = {}
@@ -123,15 +138,18 @@ def _load_pool(args, params: dict) -> dict:
             if isinstance(signal, BinauralSignal):
                 raise ConfigError(f"pool sources must be mono: {wav}")
             pool[wav.stem] = signal
-        if not pool:
-            raise ConfigError(f"no WAV files in pool directory {args.pool}")
-        return pool
-    return make_source_pool(
-        seed=int(params["seed"]) ^ 0x5EED,
-        count=args.pool_size,
-        duration=float(params["duration"]),
-        sample_rate=int(params["sample_rate"]),
-    )
+    else:
+        pool = make_source_pool(
+            seed=int(params["seed"]) ^ 0x5EED,
+            count=args.pool_size,
+            duration=float(params["duration"]),
+            sample_rate=int(params["sample_rate"]),
+        )
+    if len(pool) < min_sources:
+        raise ConfigError(
+            f"source pool too small: {len(pool)} sources, need at least {min_sources}"
+        )
+    return pool
 
 
 def _load_bank(args, params: dict):
@@ -166,10 +184,10 @@ def _synth_one(shared, task):
 
 
 def cmd_synth(args) -> int:
-    jobs = _jobs(args)
+    jobs = _check_pool_args(args, "num_scenes")
     params = _load_params(args)
     _separation_config(params)  # validate shared numeric invariants early
-    pool = _load_pool(args, params)
+    pool = _load_pool(args, params, min_sources=1)
     bank = _load_bank(args, params)
     out = Path(args.out)
 
@@ -197,31 +215,26 @@ def cmd_separate(args) -> int:
     source_id = Path(args.input).stem
 
     outcome = separate(signal, cfg)
-    dtm = float(params["delta_tau_max"])
+    records = outcome_records(outcome, source_id, float(params["delta_tau_max"]))
+    names = ["passthrough.wav"] if len(records) == 1 else ["source1.wav", "source2.wav"]
     entries = []
-    if isinstance(outcome, Passthrough):
-        write_wav(outcome.signal, out / "passthrough.wav")
-        itd, region = outcome.itd, region_of_itd(outcome.itd, dtm)
-        entries.append(
-            ManifestEntry("passthrough.wav", itd, region, "passthrough", source_id)
-        )
-    elif isinstance(outcome, Separated):
-        for name, sig, itd in (
-            ("source1.wav", outcome.source1, outcome.itd1),
-            ("source2.wav", outcome.source2, outcome.itd2),
-        ):
-            write_wav(sig, out / name)
-            region = region_of_itd(itd, dtm)
-            entries.append(ManifestEntry(name, itd, region, "separated", source_id))
-        if args.diagnostics:
-            np.savetxt(out / "mask1.txt", outcome.masks[0].astype(np.int8), fmt="%d")
-            np.savetxt(out / "mask2.txt", outcome.masks[1].astype(np.int8), fmt="%d")
-            (out / "alpha.txt").write_text(f"{outcome.final_alpha!r}\n")
-    else:
-        assert isinstance(outcome, Discarded)
+    for name, rec in zip(names, records):
+        write_wav(rec.signal, out / name)
+        entries.append(_record_entry(name, rec))
+    if isinstance(outcome, Discarded):
         entries.append(_discard_entry(outcome.reason, source_id))
+    elif isinstance(outcome, Separated) and args.diagnostics:
+        np.savetxt(out / "mask1.txt", outcome.masks[0].astype(np.int8), fmt="%d")
+        np.savetxt(out / "mask2.txt", outcome.masks[1].astype(np.int8), fmt="%d")
+        (out / "alpha.txt").write_text(f"{outcome.final_alpha!r}\n")
     write_manifest(entries, out / "manifest.jsonl")
     return EXIT_OK
+
+
+def _record_entry(name: str, rec: SourceRecord) -> ManifestEntry:
+    """The manifest line of a record written as ``name``."""
+    outcome = "passthrough" if rec.provenance == PROVENANCE_SINGLE else "separated"
+    return ManifestEntry(name, rec.itd, rec.region, outcome, rec.origin_scene)
 
 
 def _discard_entry(reason: str, source_id: str) -> ManifestEntry:
@@ -262,10 +275,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_dataset(args) -> int:
-    jobs = _jobs(args)
+    jobs = _check_pool_args(args, "num", "tuples")
     params = _load_params(args)
     cfg = _separation_config(params)
-    pool = _load_pool(args, params)
+    pool = _load_pool(args, params, min_sources=2)
     bank = _load_bank(args, params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -285,11 +298,7 @@ def cmd_dataset(args) -> int:
             for j, rec in enumerate(new_records):
                 name = f"mix{index:05d}_{j}.wav"
                 clipped += write_wav(rec.signal, out / name)
-                single = rec.provenance == PROVENANCE_SINGLE
-                outcome = "passthrough" if single else "separated"
-                entries.append(
-                    ManifestEntry(name, rec.itd, rec.region, outcome, rec.origin_scene)
-                )
+                entries.append(_record_entry(name, rec))
             manifest.writelines(e.to_json() + "\n" for e in entries)
             records.extend(new_records)
 
@@ -315,19 +324,11 @@ def cmd_dataset(args) -> int:
     return EXIT_OK
 
 
-def _add_config_flags(parser: argparse.ArgumentParser):
+def _add_config_flags(parser: argparse.ArgumentParser, keys=_FLAG_KEYS):
+    """--config plus one flag per config key: --f-aliasing for f_aliasing."""
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--f-aliasing", dest="f_aliasing", type=float)
-    parser.add_argument("--sigma-th", dest="sigma_th", type=float)
-    parser.add_argument("--delta-tau-min", dest="delta_tau_min", type=float)
-    parser.add_argument("--delta-tau-max", dest="delta_tau_max", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--fft-size", dest="fft_size", type=int)
-    parser.add_argument("--hop", type=int)
-    parser.add_argument("--sample-rate", dest="sample_rate", type=int)
-    parser.add_argument("--energy-floor-db", dest="energy_floor_db", type=float)
-    parser.add_argument("--duration", type=float)
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), type=type(_DEFAULTS[key]))
 
 
 def _add_pool_flags(parser: argparse.ArgumentParser):
@@ -363,18 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sep.set_defaults(func=cmd_separate)
 
     p_eval = sub.add_parser("eval", help="score estimates against references")
-    _add_config_flags(p_eval)
     p_eval.add_argument("--estimates", required=True)
     p_eval.add_argument("--references", required=True)
     p_eval.add_argument("--out", required=True)
     p_eval.set_defaults(func=cmd_eval)
 
     p_data = sub.add_parser("dataset", help="build dirty sources and tuples")
-    _add_config_flags(p_data)
+    _add_config_flags(p_data, keys=_DEFAULTS)
     p_data.add_argument("--out", required=True)
     p_data.add_argument("--num", type=int, default=20)
     p_data.add_argument("--tuples", type=int, default=0)
-    p_data.add_argument("--clean-ratio", dest="clean_ratio", type=float)
     _add_pool_flags(p_data)
     p_data.set_defaults(func=cmd_dataset)
 

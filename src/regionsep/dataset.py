@@ -10,6 +10,7 @@ a configurable rate.
 
 from __future__ import annotations
 
+import dataclasses
 from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -19,8 +20,21 @@ import numpy as np
 from .audio import BinauralSignal, Waveform
 from .hrir import HrirBank
 from .parallel import ordered_map
-from .scenes import RegionLayout, region_of_itd, render_binaural_source, spherical_itd
-from .separation import Discarded, Passthrough, Separated, SeparationConfig, separate
+from .scenes import (
+    RegionLayout,
+    region_of_itd,
+    render_binaural_source,
+    spherical_itd,
+    sum_regions,
+)
+from .separation import (
+    Discarded,
+    Passthrough,
+    Separated,
+    SeparationConfig,
+    SeparationOutcome,
+    separate,
+)
 
 PROVENANCE_CLEAN = "clean"
 PROVENANCE_SINGLE = "stage1_single"
@@ -109,6 +123,30 @@ def draw_mixture_params(
     )
 
 
+def outcome_records(
+    outcome: SeparationOutcome, origin_scene: str, delta_tau_max: float
+) -> List[SourceRecord]:
+    """The region-labeled records of one separation outcome, in source order.
+
+    A discard gives none, a passthrough its input as one record, and a
+    separation its two estimates; each record's region is the one its ITD
+    implies.
+    """
+    if isinstance(outcome, Passthrough):
+        labeled = [(outcome.signal, outcome.itd, PROVENANCE_SINGLE)]
+    elif isinstance(outcome, Separated):
+        labeled = [
+            (outcome.source1, outcome.itd1, PROVENANCE_SEPARATED),
+            (outcome.source2, outcome.itd2, PROVENANCE_SEPARATED),
+        ]
+    else:
+        return []
+    return [
+        SourceRecord(sig, itd, region_of_itd(itd, delta_tau_max), prov, origin_scene)
+        for sig, itd, prov in labeled
+    ]
+
+
 HarvestResult = Tuple[int, List[SourceRecord], Optional[str]]
 
 
@@ -116,7 +154,6 @@ def _harvest_one(shared, task) -> HarvestResult:
     """Draw mixture ``index``, render it, run stage 1, harvest labeled records."""
     pool, bank, cfg, delta_tau_min, delta_tau_max = shared
     index, seed_seq = task
-    scene_id = f"mix{index:05d}"
     rng = np.random.default_rng(seed_seq)
     id1, az1, id2, az2 = draw_mixture_params(
         rng, sorted(pool), bank.azimuths, delta_tau_min, delta_tau_max
@@ -132,32 +169,13 @@ def _harvest_one(shared, task) -> HarvestResult:
     outcome = separate(mixture, cfg)
     if isinstance(outcome, Discarded):
         return index, [], outcome.reason
-    if isinstance(outcome, Passthrough):
-        record = SourceRecord(
-            signal=outcome.signal,
-            itd=outcome.itd,
-            region=region_of_itd(outcome.itd, delta_tau_max),
-            provenance=PROVENANCE_SINGLE,
-            origin_scene=scene_id,
-        )
-        return index, [record], None
-
-    assert isinstance(outcome, Separated)
-    true_itds = (spherical_itd(az1, delta_tau_max), spherical_itd(az2, delta_tau_max))
-    records = []
-    for est, itd in ((outcome.source1, outcome.itd1), (outcome.source2, outcome.itd2)):
+    records = outcome_records(outcome, f"mix{index:05d}", delta_tau_max)
+    if isinstance(outcome, Separated):
         # the clean original is the rendered source whose model ITD is nearest
-        nearest = int(np.argmin([abs(itd - t) for t in true_itds]))
-        records.append(
-            SourceRecord(
-                signal=est,
-                itd=itd,
-                region=region_of_itd(itd, delta_tau_max),
-                provenance=PROVENANCE_SEPARATED,
-                origin_scene=scene_id,
-                clean_signal=(s1, s2)[nearest],
-            )
-        )
+        true_itds = [spherical_itd(az, delta_tau_max) for az in (az1, az2)]
+        for k, rec in enumerate(records):
+            nearest = int(np.argmin([abs(rec.itd - t) for t in true_itds]))
+            records[k] = dataclasses.replace(rec, clean_signal=(s1, s2)[nearest])
     return index, records, None
 
 
@@ -275,32 +293,13 @@ def build_training_tuples(
             chosen.append((region, signal, provenance))
 
         length = max(len(sig) for _, sig, _ in chosen)
-        ref_l = [np.zeros(length) for _ in range(layout.num_regions)]
-        ref_r = [np.zeros(length) for _ in range(layout.num_regions)]
-        active = [False] * layout.num_regions
-        for region, sig, _ in chosen:
-            ref_l[region - 1][: len(sig)] += sig.left.samples
-            ref_r[region - 1][: len(sig)] += sig.right.samples
-            active[region - 1] = True
-
-        references = tuple(
-            BinauralSignal(
-                Waveform(ref_l[i], sample_rate), Waveform(ref_r[i], sample_rate)
-            )
-            for i in range(layout.num_regions)
-        )
-        mix_l = np.zeros(length)
-        mix_r = np.zeros(length)
-        for ref in references:
-            mix_l += ref.left.samples
-            mix_r += ref.right.samples
+        placed = [(region, sig) for region, sig, _ in chosen]
+        summed = sum_regions(placed, layout.num_regions, length, sample_rate)
         tuples.append(
             TrainingTuple(
-                mixture=BinauralSignal(
-                    Waveform(mix_l, sample_rate), Waveform(mix_r, sample_rate)
-                ),
-                references=references,
-                active=tuple(active),
+                mixture=summed.mixture,
+                references=summed.region_signals,
+                active=summed.active,
                 provenances=tuple(p for _, _, p in chosen),
             )
         )

@@ -1,4 +1,4 @@
-"""Per-bin interaural features: phase difference, ITD, and level difference.
+"""Per-bin interaural features: time difference (ITD) and level difference.
 
 Sign convention: a source nearer the left ear arrives at the left channel
 first, so the right channel is a delayed copy and the phase of
@@ -41,13 +41,11 @@ class FeatureGrid:
     source during separation.
     """
 
-    ipd: np.ndarray       # radians, wrapped to (-pi, pi]
     itd: np.ndarray       # seconds; NaN where undefined
     ild: np.ndarray       # dB
     energy: np.ndarray    # |M_l|^2 + |M_r|^2
     excluded: np.ndarray  # bool, below the relative energy floor
     aliasing_bin: int
-    bin_hz: float
 
     def itd_samples(self) -> np.ndarray:
         """ITD values of unaliased, above-floor, non-DC bins, flattened."""
@@ -76,13 +74,16 @@ def compute_features(
     cfg = spec_left.config
     ml, mr = spec_left.bins, spec_right.bins
 
-    ipd = _wrap_phase(np.angle(ml * np.conj(mr)))
-
+    # the phase is taken only below the aliasing bin, but the product spans
+    # the whole grid: NumPy's complex multiply may round a narrow slice
+    # differently in the last bit, which would move the ITDs
+    cross = ml * np.conj(mr)
     k_alias = aliasing_bin(f_aliasing, cfg)
     freqs = np.arange(cfg.num_bins) * cfg.bin_hz
-    itd = np.full(ipd.shape, np.nan)
+    itd = np.full(cross.shape, np.nan)
     lo = slice(1, max(1, min(k_alias, cfg.num_bins)))
-    itd[:, lo] = ipd[:, lo] / (2.0 * np.pi * freqs[None, lo])
+    itd[:, lo] = _wrap_phase(np.angle(cross[:, lo])) / (2.0 * np.pi * freqs[None, lo])
+    del cross
 
     abs_l = np.abs(ml)
     abs_r = np.abs(mr)
@@ -96,11 +97,9 @@ def compute_features(
         excluded = np.ones(energy.shape, dtype=bool)
 
     return FeatureGrid(
-        ipd=ipd,
         itd=itd,
         ild=ild,
         energy=energy,
         excluded=excluded,
         aliasing_bin=k_alias,
-        bin_hz=cfg.bin_hz,
     )

@@ -9,9 +9,8 @@ The bank file layout (all little-endian):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .audio import AudioFormatError, Waveform
 
 BANK_MAGIC = b"HRIRBANK"
 BANK_VERSION = 1
+SNAP_TOLERANCE_DEG = 10.0
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,6 @@ class HrirBank:
 
     entries: dict  # azimuth degrees -> (left: Waveform, right: Waveform)
     sample_rate: int
-    head_radius_m: Optional[float] = field(default=None)
 
     def __post_init__(self):
         if not self.entries:
@@ -42,14 +41,14 @@ class HrirBank:
     def azimuths(self) -> np.ndarray:
         return np.array(sorted(self.entries), dtype=np.float64)
 
-    def nearest_azimuth(self, azimuth: float, tolerance: float = 10.0) -> float:
-        """Snap to the closest bank azimuth (circular distance), within tolerance."""
+    def nearest_azimuth(self, azimuth: float) -> float:
+        """The closest bank azimuth (circular distance), within SNAP_TOLERANCE_DEG."""
         azs = self.azimuths
         dist = np.abs((azs - azimuth + 180.0) % 360.0 - 180.0)
         k = int(np.argmin(dist))
-        if dist[k] > tolerance:
+        if dist[k] > SNAP_TOLERANCE_DEG:
             raise ValueError(
-                f"no bank entry within {tolerance} degrees of azimuth {azimuth}"
+                f"no bank azimuth within {SNAP_TOLERANCE_DEG} degrees of {azimuth}"
             )
         return float(azs[k])
 

@@ -15,6 +15,10 @@ import numpy as np
 
 STD_FLOOR = 1e-9  # seconds; avoids likelihood singularities
 MIN_SAMPLES = 10
+EM_MAX_ITER = 200  # iterations per EM run
+EM_REL_TOL = 1e-10  # relative change of the log-likelihood that ends a run
+EM_RESTARTS = 3  # seeded restarts after a degenerate run
+EM_MIN_RESPONSIBILITY = 1e-6  # a component with less mass makes a run degenerate
 
 REASON_TOO_FEW = "too_few_samples"
 REASON_WIDE_SINGLE_BAD_GMM = "wide_single_and_bad_gmm"
@@ -41,11 +45,7 @@ class GaussianComponent:
 
 @dataclass(frozen=True)
 class EmSettings:
-    max_iter: int = 200
-    rel_tol: float = 1e-10
-    restarts: int = 3
-    min_responsibility: float = 1e-6
-    seed: int = 0
+    seed: int = 0  # of the jittered restarts
 
 
 @dataclass(frozen=True)
@@ -93,23 +93,25 @@ def _log_pdf(x: np.ndarray, mean: float, std: float) -> np.ndarray:
     return -0.5 * z * z - math.log(std) - 0.5 * math.log(2.0 * math.pi)
 
 
-def _em_run(x, mu, sigma, w, settings):
+def _log_joint(x, mu, sigma, w) -> np.ndarray:
+    """Log of weight times density, per component (rows) and sample."""
+    return np.stack(
+        [math.log(max(w[k], 1e-300)) + _log_pdf(x, mu[k], sigma[k]) for k in (0, 1)]
+    )
+
+
+def _em_run(x, mu, sigma, w):
     """One EM run. Returns (components, log_likelihood) or None if degenerate."""
     n = x.size
     prev_ll = -np.inf
-    for _ in range(settings.max_iter):
-        log_p = np.stack(
-            [
-                math.log(max(w[0], 1e-300)) + _log_pdf(x, mu[0], sigma[0]),
-                math.log(max(w[1], 1e-300)) + _log_pdf(x, mu[1], sigma[1]),
-            ]
-        )
+    for _ in range(EM_MAX_ITER):
+        log_p = _log_joint(x, mu, sigma, w)
         log_norm = np.logaddexp(log_p[0], log_p[1])
         ll = float(np.sum(log_norm))
         resp = np.exp(log_p - log_norm)
 
         mass = resp.sum(axis=1)
-        if mass.min() < settings.min_responsibility:
+        if mass.min() < EM_MIN_RESPONSIBILITY:
             return None
 
         mu = (resp @ x) / mass
@@ -117,18 +119,13 @@ def _em_run(x, mu, sigma, w, settings):
         sigma = np.maximum(np.sqrt(np.maximum(var, 0.0)), STD_FLOOR)
         w = mass / n
 
-        if abs(ll - prev_ll) <= settings.rel_tol * max(abs(ll), 1.0):
+        if abs(ll - prev_ll) <= EM_REL_TOL * max(abs(ll), 1.0):
             prev_ll = ll
             break
         prev_ll = ll
 
     # report the likelihood of the returned (post-M-step) parameters
-    log_p = np.stack(
-        [
-            math.log(max(w[0], 1e-300)) + _log_pdf(x, mu[0], sigma[0]),
-            math.log(max(w[1], 1e-300)) + _log_pdf(x, mu[1], sigma[1]),
-        ]
-    )
+    log_p = _log_joint(x, mu, sigma, w)
     final_ll = float(np.sum(np.logaddexp(log_p[0], log_p[1])))
 
     order = np.argsort(mu)
@@ -159,13 +156,13 @@ def fit_gmm2(
     w0 = np.array([0.5, 0.5])
 
     rng = np.random.default_rng(settings.seed)
-    for attempt in range(settings.restarts + 1):
+    for attempt in range(EM_RESTARTS + 1):
         if attempt == 0:
             mu = mu0.copy()
         else:
             # jitter relative to the sample spread keeps affine equivariance
             mu = mu0 + rng.standard_normal(2) * spread * 0.5
-        result = _em_run(x, mu, sigma0.copy(), w0.copy(), settings)
+        result = _em_run(x, mu, sigma0.copy(), w0.copy())
         if result is not None:
             (c1, c2), ll = result
             return c1, c2, ll

@@ -33,11 +33,6 @@ def write_manifest(entries: List[ManifestEntry], path) -> None:
     Path(path).write_text("".join(e.to_json() + "\n" for e in entries))
 
 
-def append_manifest(entry: ManifestEntry, path) -> None:
-    with open(path, "a") as f:
-        f.write(entry.to_json() + "\n")
-
-
 def read_manifest(path) -> List[ManifestEntry]:
     entries = []
     for line in Path(path).read_text().splitlines():

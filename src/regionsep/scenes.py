@@ -13,14 +13,14 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .audio import BinauralSignal, Waveform
 from .hrir import HrirBank
 
-AZIMUTH_SNAP_TOLERANCE_DEG = 10.0
+HRIR_TAPS = 256  # length of each synthesized impulse response
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,6 @@ def synth_spherical_hrir(
     azimuth: float,
     delta_tau_max: float,
     sample_rate: int,
-    taps: int = 256,
 ) -> Tuple[Waveform, Waveform]:
     """Synthesize a binaural impulse-response pair for one azimuth.
 
@@ -116,11 +115,9 @@ def synth_spherical_hrir(
     an azimuth-dependent head-shadow roll-off so the ILD varies with
     frequency. Frequency-sampled design, inverted with irfft.
     """
-    if taps < 64:
-        raise ValueError(f"need at least 64 taps, got {taps}")
     itd = spherical_itd(azimuth, delta_tau_max)
     delay_samples = itd * sample_rate
-    center = taps / 2.0
+    center = HRIR_TAPS / 2.0
     d_left = center - delay_samples / 2.0
     d_right = center + delay_samples / 2.0
 
@@ -128,18 +125,18 @@ def synth_spherical_hrir(
     shadow_left = max(0.0, s)    # source on the right shadows the left ear
     shadow_right = max(0.0, -s)
 
-    k = np.arange(taps // 2 + 1)
-    freqs = k * sample_rate / taps
+    k = np.arange(HRIR_TAPS // 2 + 1)
+    freqs = k * sample_rate / HRIR_TAPS
 
     def ear_response(delay: float, shadow: float) -> np.ndarray:
         gain = (1.0 - 0.35 * shadow) / np.sqrt(
             1.0 + (freqs * shadow / 4000.0) ** 2
         )
-        phase = np.exp(-2j * np.pi * k * delay / taps)
+        phase = np.exp(-2j * np.pi * k * delay / HRIR_TAPS)
         return gain * phase
 
-    left = np.fft.irfft(ear_response(d_left, shadow_left), n=taps)
-    right = np.fft.irfft(ear_response(d_right, shadow_right), n=taps)
+    left = np.fft.irfft(ear_response(d_left, shadow_left), n=HRIR_TAPS)
+    right = np.fft.irfft(ear_response(d_right, shadow_right), n=HRIR_TAPS)
     return Waveform(left, sample_rate), Waveform(right, sample_rate)
 
 
@@ -147,10 +144,9 @@ def make_spherical_bank(
     azimuths: Sequence[float],
     delta_tau_max: float,
     sample_rate: int,
-    taps: int = 256,
 ) -> HrirBank:
     entries = {
-        float(az): synth_spherical_hrir(az, delta_tau_max, sample_rate, taps)
+        float(az): synth_spherical_hrir(az, delta_tau_max, sample_rate)
         for az in azimuths
     }
     return HrirBank(entries=entries, sample_rate=sample_rate)
@@ -218,19 +214,54 @@ class RegionMixtureSet:
 
 def _render_source(
     wave: Waveform, bank: HrirBank, azimuth: float, gain: float, n_out: int
-) -> Tuple[np.ndarray, np.ndarray, float]:
+) -> Tuple[BinauralSignal, float]:
     """Convolve a source with its snapped-azimuth HRIR pair."""
-    snapped = bank.nearest_azimuth(azimuth, AZIMUTH_SNAP_TOLERANCE_DEG)
+    snapped = bank.nearest_azimuth(azimuth)
     h_left, h_right = bank.entries[snapped]
 
-    def conv(h: Waveform) -> np.ndarray:
+    def conv(h: Waveform) -> Waveform:
         y = gain * np.convolve(wave.samples, h.samples)
         out = np.zeros(n_out)
         m = min(n_out, y.size)
         out[:m] = y[:m]
-        return out
+        return Waveform(out, bank.sample_rate)
 
-    return conv(h_left), conv(h_right), snapped
+    return BinauralSignal(conv(h_left), conv(h_right)), snapped
+
+
+def sum_regions(
+    placed: Iterable[Tuple[int, BinauralSignal]],
+    num_regions: int,
+    length: int,
+    sample_rate: int,
+) -> RegionMixtureSet:
+    """Sum sources per region, then the regions into their exact-sum mixture.
+
+    ``placed`` holds ``(region, signal)`` pairs with 1-based region ids. A
+    source shorter than ``length`` samples is zero-padded at the end; a
+    region no source lands in is silent and inactive.
+    """
+    regions = [(np.zeros(length), np.zeros(length)) for _ in range(num_regions)]
+    active = [False] * num_regions
+    for region, sig in placed:
+        left, right = regions[region - 1]
+        left[: len(sig)] += sig.left.samples
+        right[: len(sig)] += sig.right.samples
+        active[region - 1] = True
+    # the mixture is the exact elementwise sum of the region signals
+    mix_l, mix_r = np.zeros(length), np.zeros(length)
+    for left, right in regions:
+        mix_l += left
+        mix_r += right
+
+    def binaural(left: np.ndarray, right: np.ndarray) -> BinauralSignal:
+        return BinauralSignal(Waveform(left, sample_rate), Waveform(right, sample_rate))
+
+    return RegionMixtureSet(
+        region_signals=tuple(binaural(*channels) for channels in regions),
+        mixture=binaural(mix_l, mix_r),
+        active=tuple(active),
+    )
 
 
 def synth_scene(
@@ -242,37 +273,19 @@ def synth_scene(
     """Render every source through its HRIR and sum per region and in total."""
     sr = bank.sample_rate
     n_out = int(round(spec.duration * sr))
-    r = layout.num_regions
-    region_l = [np.zeros(n_out) for _ in range(r)]
-    region_r = [np.zeros(n_out) for _ in range(r)]
-    active = [False] * r
 
-    for src in spec.sources:
-        wave = pool[src.source_id]
-        if wave.sample_rate != sr:
-            raise ValueError(
-                f"source {src.source_id} rate {wave.sample_rate} != bank rate {sr}"
-            )
-        y_l, y_r, snapped = _render_source(wave, bank, src.azimuth, src.gain, n_out)
-        region = region_of_azimuth(layout, snapped) - 1
-        region_l[region] += y_l
-        region_r[region] += y_r
-        active[region] = True
+    def placed():
+        # one source at a time, so each is freed once it has been summed
+        for src in spec.sources:
+            wave = pool[src.source_id]
+            if wave.sample_rate != sr:
+                raise ValueError(
+                    f"source {src.source_id} rate {wave.sample_rate} != bank rate {sr}"
+                )
+            rendered, snapped = _render_source(wave, bank, src.azimuth, src.gain, n_out)
+            yield region_of_azimuth(layout, snapped), rendered
 
-    region_signals = tuple(
-        BinauralSignal(Waveform(region_l[i], sr), Waveform(region_r[i], sr))
-        for i in range(r)
-    )
-    # the mixture is the exact elementwise sum of the region signals
-    mix_l = np.zeros(n_out)
-    mix_r = np.zeros(n_out)
-    for sig in region_signals:
-        mix_l += sig.left.samples
-        mix_r += sig.right.samples
-    mixture = BinauralSignal(Waveform(mix_l, sr), Waveform(mix_r, sr))
-    return RegionMixtureSet(
-        region_signals=region_signals, mixture=mixture, active=tuple(active)
-    )
+    return sum_regions(placed(), layout.num_regions, n_out, sr)
 
 
 def render_binaural_source(
@@ -280,9 +293,7 @@ def render_binaural_source(
 ) -> BinauralSignal:
     """Single-source convenience wrapper around the scene renderer."""
     n_out = int(round(duration * bank.sample_rate))
-    y_l, y_r, _ = _render_source(wave, bank, azimuth, gain, n_out)
-    sr = bank.sample_rate
-    return BinauralSignal(Waveform(y_l, sr), Waveform(y_r, sr))
+    return _render_source(wave, bank, azimuth, gain, n_out)[0]
 
 
 def random_scene(
@@ -292,7 +303,6 @@ def random_scene(
     pool_ids: Sequence[str],
     seed: int,
     duration: float,
-    hrir_bank_id: str = "",
 ) -> SceneSpec:
     """Draw K sources region-first: uniform region, then a uniform bank angle."""
     if not pool_ids:
@@ -314,6 +324,4 @@ def random_scene(
         azimuth = by_region[region][int(rng.integers(len(by_region[region])))]
         source_id = pool_ids[int(rng.integers(len(pool_ids)))]
         sources.append(SceneSource(source_id=source_id, azimuth=azimuth))
-    return SceneSpec(
-        sources=tuple(sources), duration=duration, seed=seed, hrir_bank_id=hrir_bank_id
-    )
+    return SceneSpec(sources=tuple(sources), duration=duration, seed=seed)

@@ -16,7 +16,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .audio import BinauralSignal
-from .features import FeatureGrid, compute_features
+from .features import DEFAULT_ENERGY_FLOOR_DB, FeatureGrid, compute_features
 from .itd_model import (
     Discard,
     EmSettings,
@@ -36,7 +36,7 @@ class SeparationConfig:
     sigma_th: float = 7e-5          # seconds
     delta_tau_min: float = 6e-4     # seconds
     alpha: float = 5.0              # time-domain dominance factor
-    energy_floor_db: float = 30.0
+    energy_floor_db: float = DEFAULT_ENERGY_FLOOR_DB
     em: EmSettings = field(default_factory=EmSettings)
     seed: int = 0
 

@@ -43,6 +43,8 @@ HIGH_BANDS = ((40, 46), (70, 76), (120, 126), (200, 206), (320, 326), (420, 426)
 SLOT_SECONDS = 0.5
 RAMP_SECONDS = 0.08
 OFF_LEVEL = 0.01
+ENVELOPE_HZ = 3.0  # knots per second of the slow random envelope
+PEAK_AMPLITUDE = 0.25
 
 
 def _slot_gate(
@@ -64,8 +66,6 @@ def band_noise_source(
     sample_rate: int,
     bands: Optional[Sequence[Tuple[int, int]]] = None,
     band_group: Optional[int] = None,
-    envelope_hz: float = 3.0,
-    amplitude: float = 0.25,
 ) -> Waveform:
     """Random noise confined to sparse frequency bands, gated and modulated.
 
@@ -91,7 +91,7 @@ def band_noise_source(
     out = np.fft.irfft(spectrum, n=n)
 
     # slow positive envelope so short-time energy fluctuates even in-slot
-    n_knots = max(4, int(duration * envelope_hz) + 1)
+    n_knots = max(4, int(duration * ENVELOPE_HZ) + 1)
     knots = rng.uniform(0.3, 1.0, size=n_knots)
     t = np.arange(n) / sample_rate
     out *= np.interp(t, np.linspace(0.0, duration, n_knots), knots)
@@ -107,7 +107,7 @@ def band_noise_source(
 
     peak = np.max(np.abs(out))
     if peak > 0:
-        out *= amplitude / peak
+        out *= PEAK_AMPLITUDE / peak
     return Waveform(out, sample_rate)
 
 
@@ -116,7 +116,6 @@ def make_source_pool(
     count: int,
     duration: float,
     sample_rate: int,
-    **kwargs,
 ) -> dict:
     """Seeded dictionary of band-noise sources keyed src000, src001, ...
 
@@ -126,8 +125,6 @@ def make_source_pool(
     """
     rng = np.random.default_rng(seed)
     return {
-        f"src{i:03d}": band_noise_source(
-            rng, duration, sample_rate, band_group=i % 2, **kwargs
-        )
+        f"src{i:03d}": band_noise_source(rng, duration, sample_rate, band_group=i % 2)
         for i in range(count)
     }

@@ -29,12 +29,12 @@ summation order differs and results agree to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import Waveform
+from .audio import DEFAULT_SAMPLE_RATE, Waveform
 
 WSUM_FLOOR = 1e-12
 
@@ -44,15 +44,12 @@ class StftConfig:
     fft_size: int
     hop: int
     sample_rate: int
-    window: str = field(default="hann_periodic")
 
     def __post_init__(self):
         if self.fft_size <= 0 or (self.fft_size & (self.fft_size - 1)) != 0:
             raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
         if not 0 < self.hop <= self.fft_size:
             raise ValueError(f"hop must be in (0, fft_size], got {self.hop}")
-        if self.window != "hann_periodic":
-            raise ValueError(f"unsupported window: {self.window}")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
@@ -65,9 +62,9 @@ class StftConfig:
         return self.sample_rate / self.fft_size
 
 
-def clustering_config(sample_rate: int = 16000) -> StftConfig:
+def clustering_config() -> StftConfig:
     """The 1024-point / 512-hop configuration used for spatial clustering."""
-    return StftConfig(fft_size=1024, hop=512, sample_rate=sample_rate)
+    return StftConfig(fft_size=1024, hop=512, sample_rate=DEFAULT_SAMPLE_RATE)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pickle
 from collections import Counter
 
 import numpy as np
+import pytest
 
 import regionsep.cli as cli
 import regionsep.parallel as parallel
@@ -14,7 +15,10 @@ from regionsep import (
     Waveform,
     build_dirty_sources,
     make_source_pool,
+    outcome_records,
     read_manifest,
+    read_wav,
+    separate,
     write_wav,
 )
 from regionsep.cli import main
@@ -280,3 +284,77 @@ def test_pool_tasks_pickle_small(tmp_path, monkeypatch):
     assert _synth(tmp_path / "scenes", num=3, jobs=2) == 0
     assert len(sizes) == 4 + 3
     assert max(sizes) < 1024
+
+
+def test_separate_manifest_equals_outcome_records(tmp_path):
+    single, _ = single_source_scene(50.0, seed=21, duration=2.0)
+    pair, *_ = two_source_scene(315.0, 45.0, seed=22)
+    cases = (
+        ("single", single, ["passthrough.wav"], "passthrough"),
+        ("pair", pair, ["source1.wav", "source2.wav"], "separated"),
+    )
+    for name, signal, paths, outcome in cases:
+        wav = tmp_path / f"{name}.wav"
+        write_wav(signal, wav)
+        out = tmp_path / name
+        assert main(["separate", str(wav), "--out", str(out)]) == 0
+        result = separate(read_wav(wav), SeparationConfig())
+        records = outcome_records(result, name, DTM)
+        entries = read_manifest(out / "manifest.jsonl")
+        assert [e.path for e in entries] == paths
+        assert {e.outcome for e in entries} == {outcome}
+        assert [(e.itd, e.region, e.source_id) for e in entries] == [
+            (r.itd, r.region, r.origin_scene) for r in records
+        ]
+        for entry, rec in zip(entries, records):
+            write_wav(rec.signal, tmp_path / "record.wav")
+            expected = (tmp_path / "record.wav").read_bytes()
+            assert (out / entry.path).read_bytes() == expected
+
+
+def test_bad_counts_and_small_pools_exit_2(tmp_path, capsys):
+    one = tmp_path / "one_source"
+    one.mkdir()
+    write_wav(Waveform(np.zeros(16000), 16000), one / "a.wav")
+    cases = [
+        (["dataset", "--pool-size", "1"], "1 sources, need at least 2"),
+        (["dataset", "--pool", str(one)], "1 sources, need at least 2"),
+        (["synth", "--pool-size", "0"], "0 sources, need at least 1"),
+        (["dataset", "--num", "-1"], "--num must be at least 0"),
+        (["synth", "--num-scenes", "-1"], "--num-scenes must be at least 0"),
+        (["dataset", "--tuples", "-1"], "--tuples must be at least 0"),
+        (["synth", "--k-min", "0"], "need 1 <= --k-min <= --k-max"),
+        (["dataset", "--k-min", "0"], "need 1 <= --k-min <= --k-max"),
+        (["synth", "--k-min", "4", "--k-max", "3"], "got 4 and 3"),
+        (["dataset", "--k-min", "4", "--k-max", "3"], "got 4 and 3"),
+    ]
+    for k, (argv, message) in enumerate(cases):
+        out = tmp_path / f"out{k}"
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    # zero mixtures or scenes is still a valid run
+    assert main(["dataset", "--num", "0", "--out", str(tmp_path / "d0")]) == 0
+    assert main(["synth", "--num-scenes", "0", "--out", str(tmp_path / "s0")]) == 0
+
+
+def test_config_flags_follow_defaults(tmp_path):
+    # one flag per config key, typed like its default; --clean-ratio is dataset's
+    for command, keys in (
+        (["dataset"], list(cli._DEFAULTS)),
+        (["synth"], [k for k in cli._DEFAULTS if k != "clean_ratio"]),
+        (["separate", "in.wav"], [k for k in cli._DEFAULTS if k != "clean_ratio"]),
+    ):
+        argv = command + ["--out", "o"]
+        for key in keys:
+            argv += ["--" + key.replace("_", "-"), str(cli._DEFAULTS[key])]
+        args = cli.build_parser().parse_args(argv)
+        for key in keys:
+            assert getattr(args, key) == cli._DEFAULTS[key]
+            assert type(getattr(args, key)) is type(cli._DEFAULTS[key])
+    # eval reads no config: a config flag is a usage error (exit 2)
+    report = ["eval", "--estimates", "e", "--references", "r", "--out", "x"]
+    for flag in (["--config", str(tmp_path / "none.json")], ["--alpha", "-3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(report + flag)
+        assert exc.value.code == 2

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from regionsep import (
+    BinauralSignal,
+    Discarded,
     ManifestEntry,
+    Passthrough,
+    Separated,
+    Waveform,
     SeparationConfig,
-    append_manifest,
     build_dirty_sources,
     build_training_tuples,
     default_layout_r3,
+    outcome_records,
     read_manifest,
     region_of_itd,
     spherical_itd,
@@ -54,6 +59,32 @@ def test_draw_mixture_params_constraints(pool):
         draw_mixture_params(rng, ["only"], azimuths, DTAU_MIN, DTM)
     with pytest.raises(ValueError, match="too sparse"):
         draw_mixture_params(rng, ids, np.array([0.0]), DTAU_MIN, DTM)
+
+
+def _constant_signal(value):
+    wave = Waveform(np.full(8, value), SR)
+    return BinauralSignal(wave, wave)
+
+
+def test_outcome_records_per_outcome():
+    assert outcome_records(Discarded("peaks_too_close"), "mix00001", DTM) == []
+
+    single = _constant_signal(0.1)
+    (rec,) = outcome_records(Passthrough(single, 1e-5), "mix00002", DTM)
+    assert rec.signal is single and rec.itd == 1e-5 and rec.region == 1
+    assert rec.provenance == PROVENANCE_SINGLE and rec.origin_scene == "mix00002"
+    assert rec.clean_signal is None
+
+    # source 1 leads on the right (region 3), source 2 on the left (region 2)
+    first, second = _constant_signal(0.2), _constant_signal(0.3)
+    masks = (np.ones((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool))
+    outcome = Separated(first, -8e-4, second, 8e-4, masks, 5.0)
+    records = outcome_records(outcome, "mix00003", DTM)
+    assert records[0].signal is first and records[1].signal is second
+    assert [(r.itd, r.region) for r in records] == [(-8e-4, 3), (8e-4, 2)]
+    for rec in records:
+        assert rec.provenance == PROVENANCE_SEPARATED
+        assert rec.origin_scene == "mix00003" and rec.clean_signal is None
 
 
 def test_build_dirty_sources_stats_and_labels(harvested):
@@ -201,9 +232,8 @@ def test_manifest_round_trip(tmp_path):
     entries = [
         ManifestEntry("a.wav", 1e-4, 1, "passthrough", "mix00001"),
         ManifestEntry("", None, None, "discarded:peaks_too_close", "mix00002"),
+        ManifestEntry("b.wav", -2e-4, 3, "separated", "mix00003"),
     ]
     path = tmp_path / "manifest.jsonl"
     write_manifest(entries, path)
-    append_manifest(ManifestEntry("b.wav", -2e-4, 3, "separated", "mix00003"), path)
-    back = read_manifest(path)
-    assert back == entries + [ManifestEntry("b.wav", -2e-4, 3, "separated", "mix00003")]
+    assert read_manifest(path) == entries

@@ -35,16 +35,15 @@ def _delayed_pair(delay_s=0.0005, f0=250.0, duration=2.0, sr=16000):
     return left, right
 
 
-def test_delayed_channel_ipd_and_itd_sign_convention():
+def test_delayed_channel_itd_sign_convention():
     cfg = clustering_config()
     left, right = _delayed_pair()
     grid = compute_features(stft(left, cfg), stft(right, cfg), 562.0)
-    interior = slice(2, grid.ipd.shape[0] - 2)
-    # right delayed by 0.5 ms at the 250 Hz bin: ipd = 2*pi*250*5e-4 = pi/4,
+    interior = slice(2, grid.itd.shape[0] - 2)
+    # right delayed by 0.5 ms at the 250 Hz bin: phase 2*pi*250*5e-4 = pi/4,
     # positive ITD (left leads) of exactly the delay
-    ipd = grid.ipd[interior, 16]
     itd = grid.itd[interior, 16]
-    assert np.allclose(ipd, np.pi / 4, atol=1e-6)
+    assert np.allclose(itd * 2 * np.pi * 250.0, np.pi / 4, atol=1e-6)
     assert np.allclose(itd, 0.0005, atol=1e-9)
 
 
@@ -54,7 +53,6 @@ def test_identical_channels_zero_features():
     spec = stft(x, cfg)
     grid = compute_features(spec, spec, 562.0)
     above = ~grid.excluded
-    assert np.allclose(grid.ipd[above], 0.0)
     assert np.allclose(grid.ild[above], 0.0)
     valid = np.isfinite(grid.itd) & above
     assert np.allclose(grid.itd[valid], 0.0)
@@ -94,9 +92,31 @@ def test_channel_swap_antisymmetry():
     sl, sr_ = stft(left, cfg), stft(right, cfg)
     grid = compute_features(sl, sr_, 562.0)
     swapped = compute_features(sr_, sl, 562.0)
-    above = ~grid.excluded & ~np.isclose(np.abs(grid.ipd), np.pi, atol=1e-9)
-    assert np.allclose(swapped.ipd[above], -grid.ipd[above], atol=1e-12)
+    # the phase behind each valid ITD; 1e-12 rad is at most 1.1e-14 s
+    phase = grid.itd * 2 * np.pi * np.arange(cfg.num_bins) * cfg.bin_hz
+    valid = np.isfinite(grid.itd) & ~grid.excluded
+    valid &= ~np.isclose(np.abs(phase), np.pi, atol=1e-9)
+    assert valid.any()
+    assert np.allclose(swapped.itd[valid], -grid.itd[valid], atol=1.1e-14)
     assert np.allclose(swapped.ild, -grid.ild, atol=1e-12)
+
+
+def test_itd_equals_full_grid_phase_formula():
+    # 16000 samples give 33 frames: an odd count, so the grid's rows
+    # do not pair up evenly for the vectorised complex multiply
+    cfg = clustering_config()
+    rng = np.random.default_rng(8)
+    sl = stft(Waveform(rng.standard_normal(16000) * 0.1, 16000), cfg)
+    sr_ = stft(Waveform(rng.standard_normal(16000) * 0.1, 16000), cfg)
+    assert sl.num_frames % 2 == 1
+    grid = compute_features(sl, sr_, 562.0)
+
+    phase = np.angle(sl.bins * np.conj(sr_.bins))  # over the whole grid
+    phase = np.where(phase <= -np.pi, phase + 2 * np.pi, phase)
+    freqs = np.arange(cfg.num_bins) * cfg.bin_hz
+    expected = np.full(phase.shape, np.nan)
+    expected[:, 1:36] = phase[:, 1:36] / (2 * np.pi * freqs[None, 1:36])
+    assert np.array_equal(grid.itd, expected, equal_nan=True)
 
 
 def test_all_zero_input_everything_excluded():

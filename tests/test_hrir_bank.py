@@ -77,7 +77,7 @@ def test_nearest_azimuth_circular():
     assert bank.nearest_azimuth(1.0) == 0.0
     assert bank.nearest_azimuth(95.0) == 90.0
     with pytest.raises(ValueError, match="within"):
-        bank.nearest_azimuth(45.0, tolerance=10.0)
+        bank.nearest_azimuth(45.0)
 
 
 def test_bank_validation():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from regionsep import (
+    BinauralSignal,
     HrirBank,
     RegionLayout,
     SceneSource,
@@ -18,6 +19,7 @@ from regionsep import (
     render_binaural_source,
     spherical_itd,
     stft,
+    sum_regions,
     synth_scene,
     synth_spherical_hrir,
 )
@@ -127,6 +129,36 @@ def test_synth_scene_empty_and_same_region_additivity():
         only_a.region_signals[2].left.samples + only_b.region_signals[2].left.samples,
         atol=1e-15,
     )
+
+
+def _stereo(left, right):
+    return BinauralSignal(Waveform(np.array(left), SR), Waveform(np.array(right), SR))
+
+
+def test_sum_regions_pads_silences_and_sums_exactly():
+    rng = np.random.default_rng(12)
+    long_a = _stereo(rng.standard_normal(6), rng.standard_normal(6))
+    long_b = _stereo(rng.standard_normal(6), rng.standard_normal(6))
+    short = _stereo([0.5, -0.25], [1.0, 2.0])
+    out = sum_regions([(2, long_a), (3, short), (2, long_b)], 3, 6, SR)
+
+    assert out.active == (False, True, True)
+    silent = out.region_signals[0]
+    assert not silent.left.samples.any() and not silent.right.samples.any()
+    assert len(silent) == 6 and silent.sample_rate == SR
+    # a shorter source is zero-padded at the end
+    assert out.region_signals[2].left.samples.tolist() == [0.5, -0.25, 0, 0, 0, 0]
+    assert out.region_signals[2].right.samples.tolist() == [1.0, 2.0, 0, 0, 0, 0]
+    assert np.array_equal(
+        out.region_signals[1].left.samples,
+        long_a.left.samples + long_b.left.samples,
+    )
+    # the mixture is exactly the sum of the regions, in region order
+    for side in ("left", "right"):
+        total = np.zeros(6)
+        for sig in out.region_signals:
+            total += getattr(sig, side).samples
+        assert np.array_equal(getattr(out.mixture, side).samples, total)
 
 
 def test_gain_linearity():

@@ -70,13 +70,11 @@ def _toy_grid(itd_row, excluded_row=None, ild=None, aliasing_bin=4):
         else np.zeros(shape, dtype=bool)
     )
     return FeatureGrid(
-        ipd=np.zeros(shape),
         itd=itd,
         ild=np.zeros(shape) if ild is None else np.array(ild, dtype=float),
         energy=np.ones(shape),
         excluded=excluded,
         aliasing_bin=aliasing_bin,
-        bin_hz=15.625,
     )
 
 
@@ -111,13 +109,11 @@ def test_aliased_masks_threshold_and_ties():
         ]
     )
     grid = FeatureGrid(
-        ipd=np.zeros((2, 6)),
         itd=np.full((2, 6), np.nan),
         ild=ild,
         energy=np.ones((2, 6)),
         excluded=np.zeros((2, 6), dtype=bool),
         aliasing_bin=2,
-        bin_hz=15.625,
     )
     m1, m2 = aliased_frequency_masks(grid, np.array([0]), np.array([1]))
     # frame 0 rides source 1's side of the midpoint; ties (bin 5, threshold 0
@@ -135,13 +131,11 @@ def test_aliased_masks_respect_exclusion():
     ild = np.array([[0.0, 6.0], [0.0, -6.0]])
     excluded = np.array([[False, True], [False, False]])
     grid = FeatureGrid(
-        ipd=np.zeros((2, 2)),
         itd=np.full((2, 2), np.nan),
         ild=ild,
         energy=np.ones((2, 2)),
         excluded=excluded,
         aliasing_bin=1,
-        bin_hz=15.625,
     )
     m1, m2 = aliased_frequency_masks(grid, np.array([0]), np.array([1]))
     assert not m1[0, 1] and not m2[0, 1]  # excluded bin stays out of both

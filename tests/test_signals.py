@@ -26,7 +26,7 @@ def test_pool_determinism_and_keys():
 
 def test_duration_rate_and_peak():
     rng = np.random.default_rng(0)
-    wave = band_noise_source(rng, 2.0, SR, band_group=0, amplitude=0.25)
+    wave = band_noise_source(rng, 2.0, SR, band_group=0)
     assert len(wave) == 2 * SR
     assert wave.sample_rate == SR
     assert np.max(np.abs(wave.samples)) == pytest.approx(0.25, rel=1e-12)
