@@ -195,12 +195,17 @@ def cmd_synth(args) -> int:
     shared = (default_layout_r3(), k_range, float(params["duration"]), pool, bank)
     root = np.random.SeedSequence(int(params["seed"]))
     tasks = enumerate(root.spawn(args.num_scenes))
+    clipped = 0
     with closing(ordered_map(_synth_one, shared, tasks, jobs)) as results:
         for index, spec, mixture_set in results:
             sdir = out / f"scene_{index:04d}"
-            _write_regions(sdir, mixture_set.mixture, mixture_set.region_signals)
+            clipped += _write_regions(
+                sdir, mixture_set.mixture, mixture_set.region_signals
+            )
             (sdir / "scene.json").write_text(spec.to_json() + "\n")
-    log.info("wrote %d scenes to %s", args.num_scenes, out)
+    log.info(
+        "wrote %d scenes to %s; %d samples clipped", args.num_scenes, out, clipped
+    )
     return EXIT_OK
 
 
@@ -218,9 +223,11 @@ def cmd_separate(args) -> int:
     records = outcome_records(outcome, source_id, float(params["delta_tau_max"]))
     names = ["passthrough.wav"] if len(records) == 1 else ["source1.wav", "source2.wav"]
     entries = []
+    clipped = 0
     for name, rec in zip(names, records):
-        write_wav(rec.signal, out / name)
+        clipped += write_wav(rec.signal, out / name)
         entries.append(_record_entry(name, rec))
+    log.info("wrote %d files to %s; %d samples clipped", len(records), out, clipped)
     if isinstance(outcome, Discarded):
         entries.append(_discard_entry(outcome.reason, source_id))
     elif isinstance(outcome, Separated) and args.diagnostics:

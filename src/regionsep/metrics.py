@@ -171,5 +171,5 @@ def evaluate_regions(refs, estimates: Sequence[BinauralSignal]) -> RegionEvalRep
         per_region_db=tuple(per_region),
         aggregate_db=float(np.mean(scores)),
         mode=mode,
-        clamped=clamped,
+        clamped=bool(clamped),  # the comparisons give np.bool_, not JSON-serializable
     )

@@ -1,15 +1,21 @@
-"""Seed-ordered map over independent tasks, serially or in a process pool.
+"""Seed-ordered map over independent tasks, serially or in a process pool,
+and a small thread fan-out for work that releases the interpreter lock.
 
 The inputs every task shares (source pool, HRIR bank, configs) reach each
 pool worker once, through the executor's initializer, so a task carries
 only its own small arguments, typically ``(index, SeedSequence)``. Results
 are yielded in task order as they arrive, so the caller can write output
 while the workers keep computing.
+
+``thread_map`` starts its threads and joins them within the call, so no
+thread is alive when a later ``ordered_map`` forks its pool workers (a
+fork while threads run can deadlock the child).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 _installed = None  # (fn, shared), set by the initializer in pool workers only
 
@@ -52,3 +58,29 @@ def _install(fn, shared):
 def _call_installed(task):
     fn, shared = _installed
     return fn(shared, task)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def thread_map(fn, items, threaded: bool) -> list:
+    """``[fn(item) for item in items]``, on up to ``min(items, usable CPUs)`` threads.
+
+    Runs serially when ``threaded`` is false, and inside an ``ordered_map``
+    pool worker, whose sibling workers already use the cores. ``fn`` should
+    spend its time in NumPy calls that release the interpreter lock, and
+    fill arrays the calling thread allocated rather than allocate large
+    ones: memory freed by a worker thread stays in that thread's allocator
+    arena and inflates the process's resident size.
+    """
+    items = list(items)
+    n_threads = min(len(items), usable_cpus())
+    if not threaded or n_threads <= 1 or _installed is not None:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(n_threads) as executor:
+        return list(executor.map(fn, items))

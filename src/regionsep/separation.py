@@ -24,7 +24,7 @@ from .itd_model import (
     SinglePeak,
     classify_itds,
 )
-from .stft import StftConfig, Spectrogram, clustering_config, istft, stft
+from .stft import StftConfig, clustering_config, istft_many, stft_many
 
 REASON_NO_DOMINANT_FRAMES = "no_dominant_frames"
 
@@ -161,15 +161,6 @@ def aliased_frequency_masks(
     return mask1, mask2
 
 
-def _apply_masks_and_invert(
-    spec_left: Spectrogram, spec_right: Spectrogram, mask: np.ndarray
-) -> BinauralSignal:
-    return BinauralSignal(
-        left=istft(spec_left.masked(mask)),
-        right=istft(spec_right.masked(mask)),
-    )
-
-
 def separate(m: BinauralSignal, cfg: SeparationConfig) -> SeparationOutcome:
     if m.sample_rate != cfg.stft.sample_rate:
         raise ValueError(
@@ -182,8 +173,7 @@ def separate(m: BinauralSignal, cfg: SeparationConfig) -> SeparationOutcome:
             "(4 STFT frames)"
         )
 
-    spec_l = stft(m.left, cfg.stft)
-    spec_r = stft(m.right, cfg.stft)
+    spec_l, spec_r = stft_many((m.left, m.right), cfg.stft)
     grid = compute_features(spec_l, spec_r, cfg.f_aliasing, cfg.energy_floor_db)
 
     em = dataclasses.replace(cfg.em, seed=cfg.seed)
@@ -206,13 +196,16 @@ def separate(m: BinauralSignal, cfg: SeparationConfig) -> SeparationOutcome:
     mask1 = mask1_low | mask1_high
     mask2 = mask2_low | mask2_high
     # the feature grid is as large as both spectrograms; free it before
-    # the inversions allocate their frames
+    # the inversions allocate their outputs
     del grid, mask1_low, mask2_low, mask1_high, mask2_high
 
+    left1, right1, left2, right2 = istft_many(
+        (spec, mask) for mask in (mask1, mask2) for spec in (spec_l, spec_r)
+    )
     return Separated(
-        source1=_apply_masks_and_invert(spec_l, spec_r, mask1),
+        source1=BinauralSignal(left1, right1),
         itd1=verdict.low.mean,
-        source2=_apply_masks_and_invert(spec_l, spec_r, mask2),
+        source2=BinauralSignal(left2, right2),
         itd2=verdict.high.mean,
         masks=(mask1, mask2),
         final_alpha=final_alpha,

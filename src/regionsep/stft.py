@@ -16,27 +16,47 @@ leaks only into adjacent bins) while being strictly positive at every
 sample, so the squared-window-sum division reconstructs every sample of
 the input exactly, edges included.
 
-Synthesis is a phase-wise overlap-add. With ``P = ceil(N/hop)``, frames
-``r, r+P, r+2P, ...`` start ``P*hop >= N`` samples apart and never
+Both transforms work in blocks of ``BLOCK_FRAMES`` frames, so their
+transient memory is a few megabytes per block, not a copy of the whole
+recording. Analysis zero-pads and windows one block of frames at a time
+and writes its ``rfft`` rows into a preallocated ``(frames, bins)``
+array; each row is an independent transform, so the bins equal one
+``rfft`` of the whole frame matrix. Synthesis multiplies one block of
+bins by its mask, inverts it with ``irfft``, windows it and overlap-adds
+it straight into the output.
+
+The overlap-add within a block is phase-wise. With ``P = ceil(N/hop)``,
+frames ``r, r+P, r+2P, ...`` start ``P*hop >= N`` samples apart and never
 overlap, so each of the ``P`` phases is one vectorised add into a
 ``(frames, P*hop)`` view of the output instead of one add per frame. The
 squared-window sum is built the same way from a broadcast of ``w**2``.
 At the default ``hop = N/2`` each output sample sums at most two frames,
-and a two-term floating-point sum does not depend on its order, so the
-result equals a frame-by-frame loop's bit for bit; with more overlap the
-summation order differs and results agree to rounding.
+and a two-term floating-point sum does not depend on its order (nor on
+which block each term came from), so the result equals a frame-by-frame
+loop's bit for bit; with more overlap the summation order differs and
+results agree to rounding.
+
+``stft_many`` and ``istft_many`` transform several channels, or several
+masked versions of one channel, at once. They allocate every result in
+the calling thread and, when an input spans more than one block, fill
+them on one thread per result, up to the usable CPUs
+(``parallel.thread_map``); NumPy's FFTs and ufuncs release the
+interpreter lock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import DEFAULT_SAMPLE_RATE, Waveform
+from .parallel import thread_map
 
 WSUM_FLOOR = 1e-12
+BLOCK_FRAMES = 256  # about 8 s at the 512-sample hop and 16 kHz
 
 
 @dataclass(frozen=True)
@@ -106,58 +126,138 @@ def _num_frames(length: int, cfg: StftConfig) -> int:
 
 
 def stft(x: Waveform, cfg: StftConfig) -> Spectrogram:
-    if x.sample_rate != cfg.sample_rate:
-        raise ValueError(
-            f"signal rate {x.sample_rate} != config rate {cfg.sample_rate}"
-        )
-    n_frames = _num_frames(len(x), cfg)
-    lead = _lead_pad(cfg)
-    padded_len = (n_frames - 1) * cfg.hop + cfg.fft_size
-    padded = np.zeros(padded_len)
-    padded[lead : lead + len(x)] = x.samples
+    (spec,) = stft_many([x], cfg)
+    return spec
 
-    frames = sliding_window_view(padded, cfg.fft_size)[:: cfg.hop]
-    return Spectrogram(
-        np.fft.rfft(frames * _window(cfg.fft_size), axis=1), cfg, len(x)
+
+def stft_many(signals: Sequence[Waveform], cfg: StftConfig) -> List[Spectrogram]:
+    """``stft(x, cfg)`` of each signal; on threads when one spans several blocks."""
+    for x in signals:
+        if x.sample_rate != cfg.sample_rate:
+            raise ValueError(
+                f"signal rate {x.sample_rate} != config rate {cfg.sample_rate}"
+            )
+    bins = [
+        np.empty((_num_frames(len(x), cfg), cfg.num_bins), dtype=complex)
+        for x in signals
+    ]
+    thread_map(
+        lambda job: _analyse_into(*job, cfg),
+        [(b, x.samples) for b, x in zip(bins, signals)],
+        threaded=any(len(b) > BLOCK_FRAMES for b in bins),
     )
+    return [Spectrogram(b, cfg, len(x)) for b, x in zip(bins, signals)]
 
 
-def _overlap_add(frames: np.ndarray, hop: int, out_len: int) -> np.ndarray:
-    """Sum frame t into ``out[t*hop : t*hop + N]`` for every t, one phase at a time."""
-    n_frames, size = frames.shape
+def _analyse_into(bins: np.ndarray, samples: np.ndarray, cfg: StftConfig) -> None:
+    """Fill ``bins`` with the lead-padded signal's frame spectra, block by block."""
+    n, hop = cfg.fft_size, cfg.hop
+    win = _window(n)
+    for s in range(0, len(bins), BLOCK_FRAMES):
+        e = min(s + BLOCK_FRAMES, len(bins))
+        # the block's span of the padded signal; zeros outside the signal
+        first = s * hop - _lead_pad(cfg)
+        span = np.zeros((e - s - 1) * hop + n)
+        lo, hi = max(first, 0), min(first + len(span), len(samples))
+        span[lo - first : hi - first] = samples[lo:hi]
+        frames = sliding_window_view(span, n)[::hop]
+        bins[s:e] = np.fft.rfft(frames * win, axis=1)
+
+
+def _synthesis_length(cfg: StftConfig, n_frames: int) -> int:
+    # the last phase-wise view spans whole strides of P * hop samples, so
+    # it ends by (frames + P - 1) * hop, past the last frame's end
+    phases = -(-cfg.fft_size // cfg.hop)
+    return (n_frames + phases - 1) * cfg.hop
+
+
+def _overlap_add(acc: np.ndarray, frames: np.ndarray, hop: int) -> None:
+    """Add frame t into ``acc[t*hop : t*hop + N]`` for every t, one phase at a time."""
+    size = frames.shape[1]
     phases = -(-size // hop)
     stride = phases * hop
-    # phase r's view spans whole strides from r * hop, so it ends by
-    # (n_frames + phases - 1) * hop, which is at least out_len
-    acc = np.zeros((n_frames + phases - 1) * hop)
     for r in range(phases):
         group = frames[r::phases]
         start = r * hop
         view = acc[start : start + group.shape[0] * stride].reshape(-1, stride)
         view[:, :size] += group
-    return acc[:out_len]
 
 
-def istft(spec: Spectrogram) -> Waveform:
-    cfg = spec.config
+def _window_sum(cfg: StftConfig, n_frames: int, original_length: int) -> np.ndarray:
+    """The squared-window overlap sum over the samples an inversion keeps."""
     win = _window(cfg.fft_size)
-    out_len = (spec.num_frames - 1) * cfg.hop + cfg.fft_size
+    acc = np.zeros(_synthesis_length(cfg, n_frames))
+    _overlap_add(acc, np.broadcast_to(win * win, (n_frames, cfg.fft_size)), cfg.hop)
     lead = _lead_pad(cfg)
-    keep = min(spec.original_length, out_len - lead)
-    wsum = _overlap_add(
-        np.broadcast_to(win * win, (spec.num_frames, cfg.fft_size)), cfg.hop, out_len
-    )[lead : lead + keep]
+    out_len = (n_frames - 1) * cfg.hop + cfg.fft_size
+    wsum = acc[lead : lead + min(original_length, out_len - lead)]
     if np.any(wsum < WSUM_FLOOR):
         raise ValueError(
             "overlapped squared-window sum underflows the 1e-12 floor; "
             "check fft_size/hop configuration"
         )
+    return wsum
 
-    frames = np.fft.irfft(spec.bins, n=cfg.fft_size, axis=1)
-    frames *= win
-    out = _overlap_add(frames, cfg.hop, out_len)[lead : lead + keep]
-    del frames
-    out /= wsum
-    if keep < spec.original_length:
-        out = np.concatenate([out, np.zeros(spec.original_length - keep)])
-    return Waveform(out, cfg.sample_rate)
+
+def _invert_into(
+    acc: np.ndarray,
+    bins: np.ndarray,
+    mask: Optional[np.ndarray],
+    wsum: np.ndarray,
+    cfg: StftConfig,
+) -> None:
+    """Overlap-add the windowed inverse of ``bins * mask`` into the zeroed
+    ``acc`` block by block, then divide the kept samples by ``wsum``."""
+    win = _window(cfg.fft_size)
+    for s in range(0, len(bins), BLOCK_FRAMES):
+        e = min(s + BLOCK_FRAMES, len(bins))
+        block = bins[s:e] if mask is None else bins[s:e] * mask[s:e]
+        frames = np.fft.irfft(block, n=cfg.fft_size, axis=1)
+        frames *= win
+        _overlap_add(acc[s * cfg.hop :], frames, cfg.hop)
+    lead = _lead_pad(cfg)
+    acc[lead : lead + len(wsum)] /= wsum
+
+
+def istft(spec: Spectrogram) -> Waveform:
+    (out,) = istft_many([(spec, None)])
+    return out
+
+
+def istft_many(
+    pairs: Iterable[Tuple[Spectrogram, Optional[np.ndarray]]]
+) -> List[Waveform]:
+    """``istft(spec.masked(mask))`` for each ``(spec, mask)`` pair, or
+    ``istft(spec)`` where the mask is None.
+
+    The spectrograms must share their configuration, frame count and
+    original length, so that one squared-window sum serves every pair.
+    Inversions run on threads when the spectrograms span several blocks.
+    """
+    pairs = list(pairs)
+    layout = (pairs[0][0].config, pairs[0][0].num_frames, pairs[0][0].original_length)
+    for spec, mask in pairs:
+        if (spec.config, spec.num_frames, spec.original_length) != layout:
+            raise ValueError(
+                "spectrograms differ in configuration, frame count or length"
+            )
+        if mask is not None and mask.shape != spec.bins.shape:
+            raise ValueError(
+                f"mask shape {mask.shape} != spectrogram shape {spec.bins.shape}"
+            )
+    cfg, n_frames, length = layout
+    wsum = _window_sum(cfg, n_frames, length)
+    accs = [np.zeros(_synthesis_length(cfg, n_frames)) for _ in pairs]
+    thread_map(
+        lambda job: _invert_into(*job, wsum, cfg),
+        [(acc, spec.bins, mask) for acc, (spec, mask) in zip(accs, pairs)],
+        threaded=n_frames > BLOCK_FRAMES,
+    )
+    lead, keep = _lead_pad(cfg), len(wsum)
+    outs = []
+    for acc in accs:
+        out = acc[lead : lead + keep]
+        if keep < length:
+            out = np.concatenate([out, np.zeros(length - keep)])
+        outs.append(Waveform(out, cfg.sample_rate))
+    return outs

@@ -144,6 +144,47 @@ def test_eval_self_estimates_clamp(tmp_path):
         assert record["mode"] in ("s_snr", "2_snri", "3_snri")
 
 
+def test_eval_of_other_estimates_is_not_clamped(tmp_path):
+    refs, ests = tmp_path / "refs", tmp_path / "ests"
+    assert _synth(refs, seed=0, num=2) == 0
+    assert _synth(ests, seed=3, num=2) == 0
+    report = tmp_path / "report.jsonl"
+    argv = ["eval", "--estimates", str(ests), "--references", str(refs)]
+    assert main(argv + ["--out", str(report)]) == 0
+    lines = [json.loads(l) for l in report.read_text().splitlines()]
+    assert len(lines) == 2
+    assert all(record["clamped"] is False for record in lines)
+
+
+def test_synth_and_separate_log_clipped_samples(tmp_path, monkeypatch, caplog):
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    sources = make_source_pool(seed=5, count=4, duration=2.0, sample_rate=16000)
+    for name, wave in sources.items():
+        loud = wave.samples * (0.99 / np.max(np.abs(wave.samples)))
+        write_wav(Waveform(loud, 16000), pool / f"{name}.wav")
+    counts = []
+
+    def counting_write_wav(signal, path):
+        counts.append(write_wav(signal, path))
+        return counts[-1]
+
+    monkeypatch.setattr(cli, "write_wav", counting_write_wav)
+    caplog.set_level("INFO", logger="regionsep")
+    scenes = tmp_path / "scenes"
+    assert _synth(scenes, extra=("--pool", str(pool))) == 0
+    synth_clipped = sum(counts)
+    assert synth_clipped > 0
+    counts.clear()
+    mixture = scenes / "scene_0000" / "mixture.wav"
+    assert main(["separate", str(mixture), "--out", str(tmp_path / "sep")]) == 0
+    lines = [r.getMessage() for r in caplog.records]
+    lines = [line for line in lines if "samples clipped" in line]
+    assert len(lines) == 2
+    assert lines[0].endswith(f"; {synth_clipped} samples clipped")
+    assert lines[1].endswith(f"; {sum(counts)} samples clipped")
+
+
 def test_dataset_command(tmp_path):
     out = tmp_path / "db"
     code = main(

@@ -1,11 +1,12 @@
-"""Seed-ordered map tests: worker cap, serial path, pool path."""
+"""Seed-ordered map tests: worker cap, serial path, pool path; thread fan-out."""
 
 import os
+import threading
 
 import pytest
 
 import regionsep.parallel as parallel
-from regionsep.parallel import ordered_map, worker_count
+from regionsep.parallel import ordered_map, thread_map, worker_count
 
 
 def _tag(shared, task):
@@ -56,3 +57,30 @@ def test_pool_path_keeps_task_order_and_installs_state_in_workers_only():
     assert all(shared == "shared" for shared, _, _ in results)
     assert os.getpid() not in {pid for _, _, pid in results}
     assert parallel._installed is None
+
+
+def _thread_of(item):
+    return item, threading.get_ident()
+
+
+def test_thread_map_keeps_order_and_runs_on_threads_only_when_asked(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    main = threading.get_ident()
+    threaded = thread_map(_thread_of, range(5), threaded=True)
+    assert [item for item, _ in threaded] == list(range(5))
+    assert main not in {ident for _, ident in threaded}
+    serial = thread_map(_thread_of, range(5), threaded=False)
+    assert serial == [(item, main) for item in range(5)]
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    assert thread_map(_thread_of, range(5), threaded=True) == serial
+
+
+def _fan_out_in_worker(shared, task):
+    idents = {ident for _, ident in thread_map(_thread_of, range(4), threaded=True)}
+    return idents == {threading.get_ident()}
+
+
+def test_thread_map_runs_serially_in_pool_workers(monkeypatch):
+    # pool workers are forked from this process and inherit the patch
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    assert list(ordered_map(_fan_out_in_worker, None, range(4), jobs=2)) == [True] * 4

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import regionsep.parallel as parallel
 from regionsep import (
     BinauralSignal,
     Discarded,
@@ -208,6 +209,23 @@ def test_separated_channels_equal_istft_of_masked_spectrograms():
             spec = stft(getattr(mixture, side), cfg.stft)
             want = istft(spec.masked(mask)).samples
             assert np.array_equal(getattr(est, side).samples, want)
+
+
+def test_separate_same_bits_on_threads_and_serially(monkeypatch):
+    # 20 s is several frame blocks, so the transforms fan out to threads
+    mixture, *_ = two_source_scene(315.0, 45.0, seed=202, duration=20.0)
+    outcomes = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        outcomes.append(separate(mixture, SeparationConfig()))
+    threaded, serial = outcomes
+    assert isinstance(threaded, Separated) and isinstance(serial, Separated)
+    for a, b in zip(threaded.masks, serial.masks):
+        assert np.array_equal(a, b)
+    pairs = zip((threaded.source1, threaded.source2), (serial.source1, serial.source2))
+    for a, b in pairs:
+        assert np.array_equal(a.left.samples, b.left.samples)
+        assert np.array_equal(a.right.samples, b.right.samples)
 
 
 def test_separate_traced_memory_per_input_second():

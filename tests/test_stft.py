@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from regionsep import Spectrogram, StftConfig, Waveform, clustering_config, istft, stft
-from regionsep.stft import _num_frames
+from regionsep.stft import BLOCK_FRAMES, _num_frames, istft_many
+
+# one frame, block edges, and several blocks with a partial last one
+B = BLOCK_FRAMES
+FRAME_COUNTS = (1, B - 1, B, B + 1, 3 * B + 17)
 
 
 def _rel_l2(x, y):
@@ -127,25 +131,63 @@ def _istft_oracle(spec):
     return np.concatenate([out, np.zeros(spec.original_length - keep)])
 
 
+def _unblocked_stft_bins(x, cfg):
+    """One ``rfft`` of the whole frame matrix: the reference stft is held to."""
+    n, hop, lead = cfg.fft_size, cfg.hop, cfg.fft_size // 2
+    n_frames = _num_frames(len(x), cfg)
+    padded = np.zeros((n_frames - 1) * hop + n)
+    padded[lead : lead + len(x)] = x.samples
+    frames = np.stack([padded[t * hop : t * hop + n] for t in range(n_frames)])
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * (np.arange(n) + 0.5) / n)
+    return np.fft.rfft(frames * win, axis=1)
+
+
 @pytest.mark.parametrize(
     "fft_size, hop, exact",
-    [(1024, 512, True), (1024, 256, False), (1024, 384, False), (256, 128, True)],
+    [
+        (1024, 512, True),
+        (1024, 256, False),
+        (1024, 384, False),
+        (256, 128, True),
+        (1024, 1024, True),
+    ],
 )
 def test_istft_matches_frame_loop_oracle(fft_size, hop, exact):
-    # at hop = N/2 every sample sums two frames, so the phase-wise overlap-add
-    # is bit-identical; with more overlap only the summation order differs
+    # stft rows are independent transforms, so blocking leaves them equal.
+    # At hop = N/2 every sample sums two frames (one at hop = N), so the
+    # blocked phase-wise overlap-add is bit-identical; with more overlap
+    # only the summation order differs
     cfg = StftConfig(fft_size=fft_size, hop=hop, sample_rate=16000)
     rng = np.random.default_rng(fft_size + hop)
-    x = Waveform(rng.standard_normal(20001) * 0.1, 16000)
-    spec = stft(x, cfg)
-    mask = rng.random(spec.bins.shape) < 0.5
-    for s in (spec, spec.masked(mask)):
-        got = istft(s).samples
-        want = _istft_oracle(s)
-        if exact:
-            assert np.array_equal(got, want)
-        else:
-            assert np.max(np.abs(got - want)) <= 1e-12
+    # the longest signal with each frame count; a count that needs fewer
+    # samples than one is below this hop's minimum and is left out
+    cases = [(20001, _num_frames(20001, cfg))]
+    cases += [(f * hop - fft_size // 2, f) for f in FRAME_COUNTS]
+    for length, n_frames in cases:
+        if length < 1:
+            continue
+        x = Waveform(rng.standard_normal(length) * 0.1, 16000)
+        spec = stft(x, cfg)
+        assert spec.num_frames == n_frames
+        assert np.array_equal(spec.bins, _unblocked_stft_bins(x, cfg))
+        mask = rng.random(spec.bins.shape) < 0.5
+        got = [istft(spec)] + istft_many([(spec, mask), (spec, ~mask)])
+        want = [_istft_oracle(s) for s in (spec, spec.masked(mask), spec.masked(~mask))]
+        for g, w in zip(got, want):
+            if exact:
+                assert np.array_equal(g.samples, w)
+            else:
+                assert np.max(np.abs(g.samples - w)) <= 1e-12
+
+
+def test_istft_many_rejects_unshared_layouts():
+    cfg = clustering_config()
+    spec = stft(Waveform(np.zeros(4000), 16000), cfg)
+    longer = stft(Waveform(np.zeros(6000), 16000), cfg)
+    with pytest.raises(ValueError, match="frame count"):
+        istft_many([(spec, None), (longer, None)])
+    with pytest.raises(ValueError, match="mask shape"):
+        istft_many([(spec, np.ones(spec.bins.shape[1], dtype=bool))])
 
 
 def test_istft_keeps_original_length_beyond_frames():
