@@ -72,8 +72,12 @@ def thread_map(fn, items, threaded: bool) -> list:
     """``[fn(item) for item in items]``, on up to ``min(items, usable CPUs)`` threads.
 
     Runs serially when ``threaded`` is false, and inside an ``ordered_map``
-    pool worker, whose sibling workers already use the cores. ``fn`` should
-    spend its time in NumPy calls that release the interpreter lock, and
+    pool worker, whose sibling workers already use the cores. Callers pass
+    ``threaded`` false for small work: ``separate()`` on a recording that
+    fits in one frame block spends a few milliseconds per transform, and
+    ``regionsep dataset --jobs 1`` on 4 s mixtures ran slower on threads
+    than serially on a two-CPU machine. ``fn`` should spend its time in
+    NumPy calls that release the interpreter lock, and
     fill arrays the calling thread allocated rather than allocate large
     ones: memory freed by a worker thread stays in that thread's allocator
     arena and inflates the process's resident size.

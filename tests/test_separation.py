@@ -228,6 +228,24 @@ def test_separate_same_bits_on_threads_and_serially(monkeypatch):
         assert np.array_equal(a.right.samples, b.right.samples)
 
 
+@pytest.mark.parametrize("duration, pools", [(4.0, 0), (20.0, 2)])
+def test_separate_uses_threads_only_past_one_frame_block(monkeypatch, duration, pools):
+    # 4 s fits in one block and runs serially; 20 s fans out its forward
+    # transforms and its inversions, one thread pool each
+    started = []
+
+    class CountingPool(parallel.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", CountingPool)
+    mixture, *_ = two_source_scene(315.0, 45.0, seed=202, duration=duration)
+    assert isinstance(separate(mixture, SeparationConfig()), Separated)
+    assert len(started) == pools
+
+
 def test_separate_traced_memory_per_input_second():
     # the peak of everything separate() allocates, per second of input
     seconds = 20.0
