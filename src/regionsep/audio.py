@@ -16,6 +16,7 @@ from typing import Union
 import numpy as np
 
 PCM16_SCALE = 32768.0
+ENCODE_BLOCK = 1 << 15  # frames per write_wav block: 256 KB of float64
 
 # canonical project rate; mismatched rates are rejected, never resampled
 DEFAULT_SAMPLE_RATE = 16000
@@ -85,8 +86,9 @@ class BinauralSignal:
 AnySignal = Union[Waveform, BinauralSignal]
 
 
-def _parse_riff_chunks(data: bytes):
-    """Map each chunk id to its first body, and name a chunk cut off by EOF.
+def _parse_riff_chunks(data: memoryview):
+    """Map each chunk id to its first body (a view of ``data``), and name a
+    chunk cut off by EOF.
 
     Returns ``(chunks, truncated)``: a chunk whose declared size runs past
     the end of the file is the last one, is left out of ``chunks``, and its
@@ -98,7 +100,7 @@ def _parse_riff_chunks(data: bytes):
     pos = 12
     chunks = {}
     while pos + 8 <= len(data):
-        cid = data[pos : pos + 4]
+        cid = bytes(data[pos : pos + 4])
         (size,) = struct.unpack_from("<I", data, pos + 4)
         if pos + 8 + size > len(data):
             return chunks, (cid, size)
@@ -115,7 +117,7 @@ def read_wav(path) -> AnySignal:
     channel 0 as the left ear. PCM samples are normalized by 32768.
     """
     data = Path(path).read_bytes()
-    chunks, truncated = _parse_riff_chunks(data)
+    chunks, truncated = _parse_riff_chunks(memoryview(data))
     if truncated is not None:
         cid, size = truncated
         # a cut-off trailing metadata chunk loses no audio; a cut fmt or
@@ -154,17 +156,16 @@ def read_wav(path) -> AnySignal:
             f"data chunk of {len(raw)} bytes ends in a partial "
             f"{frame_bytes}-byte frame"
         )
-    samples = np.frombuffer(raw, dtype=dtype).astype(np.float64)
-    if audio_format == 1:
-        samples /= PCM16_SCALE
-
-    if channels == 1:
-        return Waveform(samples, sample_rate)
-    samples = samples.reshape(-1, 2)
-    return BinauralSignal(
-        left=Waveform(samples[:, 0].copy(), sample_rate),
-        right=Waveform(samples[:, 1].copy(), sample_rate),
-    )
+    # each channel is decoded straight from the file's buffer; int16 and
+    # float32 values, and their division by 2**15, are exact in float64
+    interleaved = np.frombuffer(raw, dtype=dtype).reshape(-1, channels)
+    waves = []
+    for c in range(channels):
+        samples = interleaved[:, c].astype(np.float64)
+        if audio_format == 1:
+            samples /= PCM16_SCALE
+        waves.append(Waveform(samples, sample_rate))
+    return waves[0] if channels == 1 else BinauralSignal(*waves)
 
 
 def write_wav(signal: AnySignal, path) -> int:
@@ -172,31 +173,48 @@ def write_wav(signal: AnySignal, path) -> int:
 
     Samples outside [-1, 1] are clipped; returns the number of clipped
     samples. Round trip with read_wav is within one quantization step.
+
+    Samples are encoded ``ENCODE_BLOCK`` frames at a time into one int16
+    array, through one reused float buffer: scale by 32768, round half
+    to even, clip. The payload goes out after the header in a single
+    write, so the transient memory is the payload plus one block.
     """
     if isinstance(signal, BinauralSignal):
-        frames = np.stack([signal.left.samples, signal.right.samples], axis=1)
-        sample_rate = signal.sample_rate
-        channels = 2
+        columns = (signal.left.samples, signal.right.samples)
     else:
-        frames = signal.samples[:, None]
-        sample_rate = signal.sample_rate
-        channels = 1
+        columns = (signal.samples,)
+    channels, n = len(columns), len(signal)
 
-    clipped = int(np.count_nonzero((frames > 1.0) | (frames < -1.0)))
-    ints = np.clip(np.round(frames * PCM16_SCALE), -32768, 32767).astype("<i2")
-    payload = ints.tobytes()
+    ints = np.empty((n, channels), dtype="<i2")
+    scaled = np.empty(min(n, ENCODE_BLOCK))
+    clipped = 0
+    for s in range(0, n, ENCODE_BLOCK):
+        e = min(s + ENCODE_BLOCK, n)
+        buf = scaled[: e - s]
+        for c, samples in enumerate(columns):
+            # scaling by a power of two is exact, so |x| > 1 iff |buf| > 32768
+            np.multiply(samples[s:e], PCM16_SCALE, out=buf)
+            clipped += int(np.count_nonzero(np.abs(buf) > PCM16_SCALE))
+            np.rint(buf, out=buf)
+            np.clip(buf, -32768, 32767, out=buf)
+            ints[s:e, c] = buf
 
-    byte_rate = sample_rate * channels * 2
+    payload = ints.nbytes
+    byte_rate = signal.sample_rate * channels * 2
     header = b"".join(
         [
             b"RIFF",
-            struct.pack("<I", 36 + len(payload)),
+            struct.pack("<I", 36 + payload),
             b"WAVE",
             b"fmt ",
-            struct.pack("<IHHIIHH", 16, 1, channels, sample_rate, byte_rate, channels * 2, 16),
+            struct.pack(
+                "<IHHIIHH", 16, 1, channels, signal.sample_rate, byte_rate, channels * 2, 16
+            ),
             b"data",
-            struct.pack("<I", len(payload)),
+            struct.pack("<I", payload),
         ]
     )
-    Path(path).write_bytes(header + payload)
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(ints)
     return clipped

@@ -231,11 +231,25 @@ def cmd_separate(args) -> int:
     if isinstance(outcome, Discarded):
         entries.append(_discard_entry(outcome.reason, source_id))
     elif isinstance(outcome, Separated) and args.diagnostics:
-        np.savetxt(out / "mask1.txt", outcome.masks[0].astype(np.int8), fmt="%d")
-        np.savetxt(out / "mask2.txt", outcome.masks[1].astype(np.int8), fmt="%d")
+        write_mask_text(outcome.masks[0], out / "mask1.txt")
+        write_mask_text(outcome.masks[1], out / "mask2.txt")
         (out / "alpha.txt").write_text(f"{outcome.final_alpha!r}\n")
     write_manifest(entries, out / "manifest.jsonl")
     return EXIT_OK
+
+
+def write_mask_text(mask: np.ndarray, path) -> None:
+    """Write a 2-D boolean mask as ``np.savetxt(path, mask, fmt="%d")``
+    would: one line per frame, bins as 0/1 separated by single spaces.
+
+    The text is built as one uint8 array of digits, spaces and newlines.
+    """
+    rows, cols = mask.shape
+    text = np.full((rows, 2 * cols), ord(" "), dtype=np.uint8)
+    text[:, 0::2] = mask
+    text[:, 0::2] += ord("0")
+    text[:, -1] = ord("\n")
+    Path(path).write_bytes(text.tobytes())
 
 
 def _record_entry(name: str, rec: SourceRecord) -> ManifestEntry:

@@ -85,19 +85,20 @@ def low_frequency_masks(
     (frame, bin) grid; columns at/above the aliasing bin are zero.
     """
     c1, c2 = components
-    mask1 = np.zeros(grid.itd.shape, dtype=bool)
-    mask2 = np.zeros(grid.itd.shape, dtype=bool)
+    mask1 = np.zeros(grid.energy.shape, dtype=bool)
+    mask2 = np.zeros(grid.energy.shape, dtype=bool)
 
-    valid = np.isfinite(grid.itd) & ~grid.excluded
-    itd = grid.itd[valid]
+    lo = grid.low_bins
+    valid = np.isfinite(grid.itd_low) & ~grid.excluded[:, lo]
+    itd = grid.itd_low[valid]
 
     def log_post(c: GaussianComponent) -> np.ndarray:
         z = (itd - c.mean) / c.std
         return np.log(max(c.weight, 1e-300)) - 0.5 * z * z - np.log(c.std)
 
     first_wins = log_post(c1) >= log_post(c2)
-    mask1[valid] = first_wins
-    mask2[valid] = ~first_wins
+    mask1[:, lo][valid] = first_wins
+    mask2[:, lo][valid] = ~first_wins
     return mask1, mask2
 
 
@@ -185,8 +186,8 @@ def separate(m: BinauralSignal, cfg: SeparationConfig) -> SeparationOutcome:
         return Passthrough(signal=m, itd=verdict.component.mean)
 
     mask1_low, mask2_low = low_frequency_masks(grid, (verdict.low, verdict.high))
-    energy1 = (grid.energy * mask1_low).sum(axis=1)
-    energy2 = (grid.energy * mask2_low).sum(axis=1)
+    energy1 = grid.frame_energy(mask1_low)
+    energy2 = grid.frame_energy(mask2_low)
     dom = dominance_sets(energy1, energy2, cfg.alpha)
     if dom is None:
         return Discarded(REASON_NO_DOMINANT_FRAMES)
@@ -195,8 +196,8 @@ def separate(m: BinauralSignal, cfg: SeparationConfig) -> SeparationOutcome:
     mask1_high, mask2_high = aliased_frequency_masks(grid, frames1, frames2)
     mask1 = mask1_low | mask1_high
     mask2 = mask2_low | mask2_high
-    # the feature grid is as large as both spectrograms; free it before
-    # the inversions allocate their outputs
+    # the feature grid is about as large as one spectrogram; free it
+    # before the inversions allocate their outputs
     del grid, mask1_low, mask2_low, mask1_high, mask2_high
 
     left1, right1, left2, right2 = istft_many(

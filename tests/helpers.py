@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import struct
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Tuple
@@ -20,6 +21,7 @@ from regionsep import (
     stft,
 )
 from regionsep.signals import band_noise_source
+from regionsep.stft import Spectrogram
 
 SR = 16000
 DTM = 8.9e-4  # seconds, the delta_tau_max behind f_aliasing = 562 Hz
@@ -90,3 +92,76 @@ def tree_digest(root) -> str:
         h.update(b"\x00")
         h.update(path.read_bytes())
     return h.hexdigest()
+
+
+# ------------------------------------------------- whole-array oracles
+#
+# The codec and the feature stage work in blocks; these are their former
+# whole-array formulas, which the blocked code must equal bit for bit.
+
+
+def oracle_write_wav(signal, path) -> int:
+    """``write_wav`` as one whole-array encode: stack, scale, round, clip."""
+    if isinstance(signal, BinauralSignal):
+        frames = np.stack([signal.left.samples, signal.right.samples], axis=1)
+    else:
+        frames = signal.samples[:, None]
+    channels = frames.shape[1]
+    clipped = int(np.count_nonzero((frames > 1.0) | (frames < -1.0)))
+    ints = np.clip(np.round(frames * 32768.0), -32768, 32767).astype("<i2")
+    payload = ints.tobytes()
+    header = b"".join(
+        [
+            b"RIFF",
+            struct.pack("<I", 36 + len(payload)),
+            b"WAVE",
+            b"fmt ",
+            struct.pack(
+                "<IHHIIHH", 16, 1, channels, signal.sample_rate,
+                signal.sample_rate * channels * 2, channels * 2, 16,
+            ),
+            b"data",
+            struct.pack("<I", len(payload)),
+        ]
+    )
+    Path(path).write_bytes(header + payload)
+    return clipped
+
+
+def oracle_decode(payload: bytes, channels: int, dtype: str):
+    """The channels of a WAV data chunk, decoded as one interleaved array."""
+    samples = np.frombuffer(payload, dtype=dtype).astype(np.float64)
+    if dtype == "<i2":
+        samples /= 32768.0
+    samples = samples.reshape(-1, channels)
+    return [samples[:, c].copy() for c in range(channels)]
+
+
+def oracle_features(
+    spec_left: Spectrogram, spec_right: Spectrogram, f_aliasing: float, floor_db: float
+) -> dict:
+    """Full-grid ``itd``, ``ild``, ``energy`` and ``excluded``, computed whole.
+
+    ``ml * np.conj(mr)`` stays as written: NumPy's temporary elision picks
+    its operand order by the grid's size, and the blocked code must follow.
+    """
+    cfg = spec_left.config
+    ml, mr = spec_left.bins, spec_right.bins
+    cross = ml * np.conj(mr)
+    k_alias = int(np.ceil(f_aliasing / cfg.bin_hz))
+    freqs = np.arange(cfg.num_bins) * cfg.bin_hz
+    itd = np.full(cross.shape, np.nan)
+    lo = slice(1, max(1, min(k_alias, cfg.num_bins)))
+    phase = np.angle(cross[:, lo])
+    phase = np.where(phase <= -np.pi, phase + 2.0 * np.pi, phase)
+    itd[:, lo] = phase / (2.0 * np.pi * freqs[None, lo])
+    abs_l = np.abs(ml)
+    abs_r = np.abs(mr)
+    ild = 20.0 * np.log10(np.maximum(abs_l, 1e-12) / np.maximum(abs_r, 1e-12))
+    energy = abs_l * abs_l + abs_r * abs_r
+    peak = energy.max() if energy.size else 0.0
+    if peak > 0.0:
+        excluded = energy < peak * 10.0 ** (-abs(floor_db) / 10.0)
+    else:
+        excluded = np.ones(energy.shape, dtype=bool)
+    return {"itd": itd, "ild": ild, "energy": energy, "excluded": excluded}

@@ -399,3 +399,12 @@ def test_config_flags_follow_defaults(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(report + flag)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("cols", [1, 2, 513])
+def test_mask_text_equals_savetxt(tmp_path, cols):
+    mask = np.random.default_rng(cols).random((37, cols)) < 0.5
+    mask[0] = True  # an all-ones row next to random ones
+    np.savetxt(tmp_path / "want.txt", mask.astype(np.int8), fmt="%d")
+    cli.write_mask_text(mask, tmp_path / "got.txt")
+    assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import regionsep.parallel as parallel
 from regionsep import (
     StftConfig,
     Waveform,
@@ -12,7 +13,8 @@ from regionsep import (
     compute_features,
     stft,
 )
-from regionsep.stft import Spectrogram
+from regionsep.stft import BLOCK_FRAMES, Spectrogram
+from helpers import oracle_features
 
 
 def test_aliasing_frequency_values():
@@ -133,3 +135,64 @@ def test_shape_mismatch_rejected():
     b = stft(Waveform(np.zeros(4096), 16000), cfg)
     with pytest.raises(ValueError, match="shape mismatch"):
         compute_features(a, b, 562.0)
+
+
+def _random_spectrograms(rng, frames, cfg, loud_bins=None):
+    """Two random spectrograms whose bin energies span many decades."""
+    shape = (frames, cfg.num_bins)
+    specs = []
+    for _ in range(2):
+        bins = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        bins *= 10.0 ** rng.uniform(-3.0, 0.0, size=shape)
+        if loud_bins is not None:
+            bins[:, loud_bins] *= 1e3
+        specs.append(Spectrogram(bins, cfg, frames * cfg.hop))
+    return specs
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+@pytest.mark.parametrize("f_aliasing", [562.0, 9000.0])  # 9 kHz: bin 576, past the grid
+@pytest.mark.parametrize(
+    "frames",
+    # 31 and 32 frames lie either side of the 256 KiB at which NumPy
+    # switches the complex product's operand order
+    [31, 32, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES,
+     2 * BLOCK_FRAMES + 1, 3 * BLOCK_FRAMES + 1],
+)
+def test_blocked_features_equal_whole_grid_oracle(monkeypatch, frames, f_aliasing, cpus):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    cfg = clustering_config()
+    sl, sr_ = _random_spectrograms(np.random.default_rng(frames), frames, cfg)
+    sl.bins[-1, 100] = 30.0  # the energy peak, in the last block's last frame
+    grid = compute_features(sl, sr_, f_aliasing, 30.0)
+    want = oracle_features(sl, sr_, f_aliasing, 30.0)
+    assert want["excluded"].any() and not want["excluded"].all()
+    assert np.array_equal(grid.itd, want["itd"], equal_nan=True)
+    for name in ("ild", "energy", "excluded"):
+        assert np.array_equal(getattr(grid, name), want[name]), name
+    valid = np.isfinite(want["itd"]) & ~want["excluded"]
+    assert np.array_equal(grid.itd_samples(), want["itd"][valid])
+
+
+def test_frame_energy_equals_full_width_masked_sum():
+    # NumPy's row sums round by position, so the narrow sum must keep the
+    # full-width bits; most grids put their energy in bins 32..35, the
+    # last low bins at the default 562 Hz
+    rng = np.random.default_rng(11)
+    cases = [
+        (clustering_config(), 562.0, slice(32, 36)),
+        (clustering_config(), 562.0, None),
+        (clustering_config(), 140.0, None),   # aliasing bin 9
+        (clustering_config(), 2100.0, slice(120, 135)),  # bin 135: full width
+        (StftConfig(fft_size=64, hop=32, sample_rate=16000), 7000.0, None),  # 33 bins
+        (StftConfig(fft_size=8, hop=4, sample_rate=16000), 3000.0, None),  # 5 bins
+    ]
+    for k in range(60):
+        cfg, f_aliasing, loud = cases[(k // 2) % len(cases)] if k % 2 else cases[0]
+        frames = int(rng.integers(1, 300))
+        sl, sr_ = _random_spectrograms(rng, frames, cfg, loud)
+        grid = compute_features(sl, sr_, f_aliasing)
+        mask = np.zeros(grid.energy.shape, dtype=bool)
+        mask[:, grid.low_bins] = rng.random(grid.itd_low.shape) < 0.7
+        want = (grid.energy * mask).sum(axis=1)
+        assert np.array_equal(grid.frame_energy(mask), want), (k, cfg, f_aliasing)

@@ -71,7 +71,7 @@ def _toy_grid(itd_row, excluded_row=None, ild=None, aliasing_bin=4):
         else np.zeros(shape, dtype=bool)
     )
     return FeatureGrid(
-        itd=itd,
+        itd_low=itd[:, 1:aliasing_bin],
         ild=np.zeros(shape) if ild is None else np.array(ild, dtype=float),
         energy=np.ones(shape),
         excluded=excluded,
@@ -110,7 +110,7 @@ def test_aliased_masks_threshold_and_ties():
         ]
     )
     grid = FeatureGrid(
-        itd=np.full((2, 6), np.nan),
+        itd_low=np.full((2, 1), np.nan),
         ild=ild,
         energy=np.ones((2, 6)),
         excluded=np.zeros((2, 6), dtype=bool),
@@ -132,7 +132,7 @@ def test_aliased_masks_respect_exclusion():
     ild = np.array([[0.0, 6.0], [0.0, -6.0]])
     excluded = np.array([[False, True], [False, False]])
     grid = FeatureGrid(
-        itd=np.full((2, 2), np.nan),
+        itd_low=np.zeros((2, 0)),
         ild=ild,
         energy=np.ones((2, 2)),
         excluded=excluded,
@@ -228,10 +228,10 @@ def test_separate_same_bits_on_threads_and_serially(monkeypatch):
         assert np.array_equal(a.right.samples, b.right.samples)
 
 
-@pytest.mark.parametrize("duration, pools", [(4.0, 0), (20.0, 2)])
+@pytest.mark.parametrize("duration, pools", [(4.0, 0), (20.0, 3)])
 def test_separate_uses_threads_only_past_one_frame_block(monkeypatch, duration, pools):
     # 4 s fits in one block and runs serially; 20 s fans out its forward
-    # transforms and its inversions, one thread pool each
+    # transforms, its feature blocks and its inversions, one thread pool each
     started = []
 
     class CountingPool(parallel.ThreadPoolExecutor):

@@ -1,11 +1,24 @@
 """WAV reader/writer contract tests."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from regionsep import AudioFormatError, BinauralSignal, Waveform, read_wav, write_wav
+from regionsep.audio import ENCODE_BLOCK
+from helpers import oracle_decode, oracle_write_wav
+
+LSB = 1 / 32768
+# full scale, just beyond it, and half-LSB ties, which round half to even
+EDGE_SAMPLES = np.array(
+    [
+        1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 1.5, -3.0,
+        0.5 * LSB, -0.5 * LSB, 1.5 * LSB, -1.5 * LSB, 2.5 * LSB,
+        32766.5 * LSB, 32767.5 * LSB, -32767.5 * LSB, -32768.5 * LSB,
+    ]
+)
 
 
 def _pcm16_wav(channels: int, sample_rate: int, payload: bytes) -> bytes:
@@ -18,6 +31,23 @@ def _pcm16_wav(channels: int, sample_rate: int, payload: bytes) -> bytes:
             b"fmt ",
             struct.pack(
                 "<IHHIIHH", 16, 1, channels, sample_rate, byte_rate, channels * 2, 16
+            ),
+            b"data",
+            struct.pack("<I", len(payload)),
+            payload,
+        ]
+    )
+
+
+def _float32_wav(channels: int, payload: bytes) -> bytes:
+    return b"".join(
+        [
+            b"RIFF",
+            struct.pack("<I", 36 + len(payload)),
+            b"WAVE",
+            b"fmt ",
+            struct.pack(
+                "<IHHIIHH", 16, 3, channels, 16000, 16000 * 4 * channels, 4 * channels, 32
             ),
             b"data",
             struct.pack("<I", len(payload)),
@@ -82,21 +112,8 @@ def test_clipping_counted(tmp_path):
 
 def test_float32_read(tmp_path):
     samples = np.array([0.25, -0.5, 0.125], dtype="<f4")
-    payload = samples.tobytes()
-    data = b"".join(
-        [
-            b"RIFF",
-            struct.pack("<I", 36 + len(payload)),
-            b"WAVE",
-            b"fmt ",
-            struct.pack("<IHHIIHH", 16, 3, 1, 16000, 16000 * 4, 4, 32),
-            b"data",
-            struct.pack("<I", len(payload)),
-            payload,
-        ]
-    )
     path = tmp_path / "f32.wav"
-    path.write_bytes(data)
+    path.write_bytes(_float32_wav(1, samples.tobytes()))
     wave = read_wav(path)
     assert np.allclose(wave.samples, samples.astype(np.float64))
 
@@ -157,3 +174,75 @@ def test_binaural_validation():
     swapped = sig.swapped()
     assert np.array_equal(swapped.left.samples, sig.right.samples)
     assert np.array_equal(swapped.right.samples, sig.left.samples)
+
+
+def _edge_signal(rng, length):
+    """Uniform samples a little past full scale, with the edge cases spread in."""
+    samples = rng.uniform(-1.05, 1.05, length)
+    at = rng.integers(0, length, size=min(length, 4 * EDGE_SAMPLES.size))
+    samples[at] = rng.choice(EDGE_SAMPLES, size=at.size)
+    return Waveform(samples, 16000)
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize(
+    "length",
+    [0, 1, ENCODE_BLOCK - 1, ENCODE_BLOCK, ENCODE_BLOCK + 1, 3 * ENCODE_BLOCK + 7],
+)
+def test_codec_equals_whole_array_oracle(tmp_path, channels, length):
+    rng = np.random.default_rng(length * 2 + channels)
+    waves = [_edge_signal(rng, length) for _ in range(channels)]
+    if length == 1:  # one sample per channel: make it a tie
+        waves = [Waveform(np.array([32767.5 * LSB]), 16000) for _ in waves]
+    signal = waves[0] if channels == 1 else BinauralSignal(*waves)
+    got, want = tmp_path / "got.wav", tmp_path / "want.wav"
+
+    assert write_wav(signal, got) == oracle_write_wav(signal, want)
+    data = got.read_bytes()
+    assert data == want.read_bytes()
+
+    back = read_wav(got)
+    decoded = [back] if channels == 1 else [back.left, back.right]
+    for wave, expected in zip(decoded, oracle_decode(data[44:], channels, "<i2")):
+        assert np.array_equal(wave.samples, expected)
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_float32_read_equals_whole_array_oracle(tmp_path, channels):
+    rng = np.random.default_rng(channels)
+    values = rng.uniform(-2.0, 2.0, 3 * ENCODE_BLOCK + 7).astype("<f4")
+    values[: EDGE_SAMPLES.size] = EDGE_SAMPLES
+    values = values[: len(values) // channels * channels]
+    payload = values.tobytes()
+    path = tmp_path / "f32.wav"
+    path.write_bytes(_float32_wav(channels, payload))
+    back = read_wav(path)
+    decoded = [back] if channels == 1 else [back.left, back.right]
+    for wave, expected in zip(decoded, oracle_decode(payload, channels, "<f4")):
+        assert np.array_equal(wave.samples, expected)
+
+
+def test_float32_nan_rejected(tmp_path):
+    payload = np.array([0.0, np.nan], dtype="<f4").tobytes()
+    path = tmp_path / "nan.wav"
+    path.write_bytes(_float32_wav(1, payload))
+    with pytest.raises(ValueError, match="NaN"):
+        read_wav(path)
+
+
+def test_write_wav_traced_memory_is_payload_plus_two_megabytes(tmp_path):
+    seconds = 120
+    rng = np.random.default_rng(0)
+    n = seconds * 16000
+    signal = BinauralSignal(
+        Waveform(rng.uniform(-1.0, 1.0, n), 16000),
+        Waveform(rng.uniform(-1.0, 1.0, n), 16000),
+    )
+    payload = n * 2 * 2
+    tracemalloc.start()
+    try:
+        write_wav(signal, tmp_path / "long.wav")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= payload + 2_000_000
