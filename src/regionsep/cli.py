@@ -137,6 +137,7 @@ def _load_pool(args, params: dict, min_sources: int) -> dict:
             signal = read_wav(wav)
             if isinstance(signal, BinauralSignal):
                 raise ConfigError(f"pool sources must be mono: {wav}")
+            _check_rate(f"pool source {wav}", signal.sample_rate, params)
             pool[wav.stem] = signal
     else:
         pool = make_source_pool(
@@ -152,9 +153,18 @@ def _load_pool(args, params: dict, min_sources: int) -> dict:
     return pool
 
 
+def _check_rate(what: str, rate: int, params: dict) -> None:
+    if rate != int(params["sample_rate"]):
+        raise ConfigError(
+            f"{what} rate {rate} != --sample-rate {int(params['sample_rate'])}"
+        )
+
+
 def _load_bank(args, params: dict):
     if getattr(args, "hrir_bank", None):
-        return load_hrir_bank(args.hrir_bank)
+        bank = load_hrir_bank(args.hrir_bank)
+        _check_rate(f"HRIR bank {args.hrir_bank}", bank.sample_rate, params)
+        return bank
     azimuths = np.arange(0.0, 360.0, 5.0)
     return make_spherical_bank(
         azimuths,

@@ -36,6 +36,8 @@ class HrirBank:
                 raise ValueError(f"azimuth {az} outside [0, 360)")
             if left.sample_rate != self.sample_rate or right.sample_rate != self.sample_rate:
                 raise ValueError(f"sample-rate mismatch at azimuth {az}")
+            if not len(left) or not len(right):
+                raise ValueError(f"empty impulse response at azimuth {az}")
 
     @property
     def azimuths(self) -> np.ndarray:

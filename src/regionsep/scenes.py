@@ -16,11 +16,13 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import BinauralSignal, Waveform
 from .hrir import HrirBank
 
 HRIR_TAPS = 256  # length of each synthesized impulse response
+RENDER_GROUP_BLOCKS = 16  # overlap-save blocks transformed at once
 
 
 @dataclass(frozen=True)
@@ -212,21 +214,71 @@ class RegionMixtureSet:
         return len(self.region_signals)
 
 
+def _fft_size(taps: int) -> int:
+    """The overlap-save block length: the smallest power of two that is at
+    least 1024 and at least four times the taps."""
+    n_fft = 1024
+    while n_fft < 4 * taps:
+        n_fft *= 2
+    return n_fft
+
+
+def _overlap_save(
+    x: np.ndarray, h_left: np.ndarray, h_right: np.ndarray, n_out: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The first ``n_out`` samples of ``x`` convolved with each ear's taps.
+
+    Overlap-save: block ``k`` of ``n_fft`` input samples starts ``taps - 1``
+    samples before output sample ``k * step``, and the last ``step`` samples
+    of its circular convolution with a tap set are the linear convolution's
+    samples from ``k * step`` on. Each block is transformed once for both
+    ears. ``RENDER_GROUP_BLOCKS`` blocks at a time are cut from their own
+    zero-padded span of the input and written straight into the outputs.
+    Samples past the full convolution's ``len(x) + taps - 1`` stay zero.
+    """
+    taps = max(len(h_left), len(h_right))
+    n_fft = _fft_size(taps)
+    step = n_fft - taps + 1
+    spectra = np.stack(
+        [np.fft.rfft(h_left, n=n_fft), np.fft.rfft(h_right, n=n_fft)]
+    )
+    left, right = np.zeros(n_out), np.zeros(n_out)
+    n_valid = min(n_out, len(x) + taps - 1)
+    for a in range(0, n_valid, RENDER_GROUP_BLOCKS * step):
+        b = min(a + RENDER_GROUP_BLOCKS * step, n_valid)
+        blocks = -(-(b - a) // step)
+        # the group's span of the input; zeros outside the signal
+        first = a - (taps - 1)
+        span = np.zeros((blocks - 1) * step + n_fft)
+        lo, hi = max(first, 0), min(first + len(span), len(x))
+        span[lo - first : hi - first] = x[lo:hi]
+        frames = sliding_window_view(span, n_fft)[::step]
+        spectrum = np.fft.rfft(frames, axis=1)
+        y = np.fft.irfft(spectrum[:, None, :] * spectra, n=n_fft, axis=2)
+        left[a:b] = y[:, 0, taps - 1 :].reshape(-1)[: b - a]
+        right[a:b] = y[:, 1, taps - 1 :].reshape(-1)[: b - a]
+    return left, right
+
+
 def _render_source(
     wave: Waveform, bank: HrirBank, azimuth: float, gain: float, n_out: int
 ) -> Tuple[BinauralSignal, float]:
     """Convolve a source with its snapped-azimuth HRIR pair."""
+    if wave.sample_rate != bank.sample_rate:
+        raise ValueError(
+            f"source rate {wave.sample_rate} != bank rate {bank.sample_rate}"
+        )
     snapped = bank.nearest_azimuth(azimuth)
     h_left, h_right = bank.entries[snapped]
-
-    def conv(h: Waveform) -> Waveform:
-        y = gain * np.convolve(wave.samples, h.samples)
-        out = np.zeros(n_out)
-        m = min(n_out, y.size)
-        out[:m] = y[:m]
-        return Waveform(out, bank.sample_rate)
-
-    return BinauralSignal(conv(h_left), conv(h_right)), snapped
+    left, right = _overlap_save(wave.samples, h_left.samples, h_right.samples, n_out)
+    left *= gain
+    right *= gain
+    return (
+        BinauralSignal(
+            Waveform(left, bank.sample_rate), Waveform(right, bank.sample_rate)
+        ),
+        snapped,
+    )
 
 
 def sum_regions(
@@ -277,12 +329,9 @@ def synth_scene(
     def placed():
         # one source at a time, so each is freed once it has been summed
         for src in spec.sources:
-            wave = pool[src.source_id]
-            if wave.sample_rate != sr:
-                raise ValueError(
-                    f"source {src.source_id} rate {wave.sample_rate} != bank rate {sr}"
-                )
-            rendered, snapped = _render_source(wave, bank, src.azimuth, src.gain, n_out)
+            rendered, snapped = _render_source(
+                pool[src.source_id], bank, src.azimuth, src.gain, n_out
+            )
             yield region_of_azimuth(layout, snapped), rendered
 
     return sum_regions(placed(), layout.num_regions, n_out, sr)

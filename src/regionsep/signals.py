@@ -78,9 +78,23 @@ def band_noise_source(
     if band_group is None:
         band_group = int(rng.integers(2))
     if bands is None:
-        bands = (LOW_GROUP_BANDS[band_group % 2],) + HIGH_BANDS
+        bands = _group_bands(band_group)
+    out = _shaped_noise(rng, n, bands)
+    t = np.arange(n) / sample_rate
+    out *= _envelope(rng, t, duration)
+    out *= _slot_gate(t, band_group, SLOT_SECONDS, RAMP_SECONDS)
+    _fade_and_normalise(out, _fade(n, sample_rate))
+    return Waveform(out, sample_rate)
 
-    # shape white noise in the frequency domain of the full signal
+
+def _group_bands(band_group: int) -> Tuple[Tuple[int, int], ...]:
+    return (LOW_GROUP_BANDS[band_group % 2],) + HIGH_BANDS
+
+
+def _shaped_noise(
+    rng: np.random.Generator, n: int, bands: Sequence[Tuple[int, int]]
+) -> np.ndarray:
+    """White noise shaped in the frequency domain of the full signal."""
     scale = n / ANALYSIS_BINS
     spectrum = np.zeros(n // 2 + 1, dtype=complex)
     for start, stop in bands:
@@ -88,27 +102,32 @@ def band_noise_source(
         hi = min(int(round(stop * scale)), spectrum.size)
         width = hi - lo
         spectrum[lo:hi] = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-    out = np.fft.irfft(spectrum, n=n)
+    return np.fft.irfft(spectrum, n=n)
 
-    # slow positive envelope so short-time energy fluctuates even in-slot
+
+def _envelope(rng: np.random.Generator, t: np.ndarray, duration: float) -> np.ndarray:
+    """Slow positive envelope, so short-time energy fluctuates even in-slot."""
     n_knots = max(4, int(duration * ENVELOPE_HZ) + 1)
     knots = rng.uniform(0.3, 1.0, size=n_knots)
-    t = np.arange(n) / sample_rate
-    out *= np.interp(t, np.linspace(0.0, duration, n_knots), knots)
-    out *= _slot_gate(t, band_group, SLOT_SECONDS, RAMP_SECONDS)
+    return np.interp(t, np.linspace(0.0, duration, n_knots), knots)
 
-    # fade both ends: a hard truncation edge splatters the bands' phase
-    # across the whole spectrum of the frames containing it
+
+def _fade(n: int, sample_rate: int) -> np.ndarray:
+    """Raised-cosine ramp that fades both ends in (reversed at the end): a
+    hard truncation edge splatters the bands' phase across the whole
+    spectrum of the frames containing it."""
     n_fade = min(int(round(RAMP_SECONDS * sample_rate)), n // 2)
-    if n_fade:
-        fade = 0.5 - 0.5 * np.cos(np.pi * np.arange(n_fade) / n_fade)
-        out[:n_fade] *= fade
-        out[-n_fade:] *= fade[::-1]
+    return 0.5 - 0.5 * np.cos(np.pi * np.arange(n_fade) / n_fade)
 
+
+def _fade_and_normalise(out: np.ndarray, fade: np.ndarray) -> None:
+    """Fade both ends of ``out`` in place and scale its peak to PEAK_AMPLITUDE."""
+    if fade.size:
+        out[: fade.size] *= fade
+        out[-fade.size :] *= fade[::-1]
     peak = np.max(np.abs(out))
     if peak > 0:
         out *= PEAK_AMPLITUDE / peak
-    return Waveform(out, sample_rate)
 
 
 def make_source_pool(
@@ -121,10 +140,24 @@ def make_source_pool(
 
     Sources alternate between the two groups, so any pair drawn from
     opposite parities is W-disjoint by construction (disjoint low bands,
-    complementary time slots in the shared high bands).
+    complementary time slots in the shared high bands). Source ``i`` equals
+    ``band_noise_source(rng, duration, sample_rate, band_group=i % 2)``
+    drawn in turn from one generator; the time axis, the fade and each
+    parity's slot gate are computed once for all of them.
     """
     rng = np.random.default_rng(seed)
-    return {
-        f"src{i:03d}": band_noise_source(rng, duration, sample_rate, band_group=i % 2)
-        for i in range(count)
-    }
+    n = int(round(duration * sample_rate))
+    t = np.arange(n) / sample_rate
+    gates = [
+        _slot_gate(t, parity, SLOT_SECONDS, RAMP_SECONDS)
+        for parity in range(min(count, 2))
+    ]
+    fade = _fade(n, sample_rate)
+    pool = {}
+    for i in range(count):
+        out = _shaped_noise(rng, n, _group_bands(i))
+        out *= _envelope(rng, t, duration)
+        out *= gates[i % 2]
+        _fade_and_normalise(out, fade)
+        pool[f"src{i:03d}"] = Waveform(out, sample_rate)
+    return pool

@@ -97,7 +97,9 @@ def tree_digest(root) -> str:
 # ------------------------------------------------- whole-array oracles
 #
 # The codec and the feature stage work in blocks; these are their former
-# whole-array formulas, which the blocked code must equal bit for bit.
+# whole-array formulas, which the blocked code must equal bit for bit. The
+# renderer's oracle is the direct convolution it replaced; overlap-save
+# sums in another order, so it agrees to rounding.
 
 
 def oracle_write_wav(signal, path) -> int:
@@ -165,3 +167,13 @@ def oracle_features(
     else:
         excluded = np.ones(energy.shape, dtype=bool)
     return {"itd": itd, "ild": ild, "energy": energy, "excluded": excluded}
+
+
+def oracle_render(samples: np.ndarray, taps: np.ndarray, gain: float, n_out: int):
+    """One ear of ``_render_source`` as a direct convolution: the first
+    ``n_out`` samples of ``gain * np.convolve(samples, taps)``, zero-padded."""
+    y = gain * np.convolve(samples, taps)
+    out = np.zeros(n_out)
+    m = min(n_out, y.size)
+    out[:m] = y[:m]
+    return out

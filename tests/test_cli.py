@@ -15,9 +15,11 @@ from regionsep import (
     Waveform,
     build_dirty_sources,
     make_source_pool,
+    make_spherical_bank,
     outcome_records,
     read_manifest,
     read_wav,
+    save_hrir_bank,
     separate,
     write_wav,
 )
@@ -377,6 +379,25 @@ def test_bad_counts_and_small_pools_exit_2(tmp_path, capsys):
     # zero mixtures or scenes is still a valid run
     assert main(["dataset", "--num", "0", "--out", str(tmp_path / "d0")]) == 0
     assert main(["synth", "--num-scenes", "0", "--out", str(tmp_path / "s0")]) == 0
+
+
+def test_sample_rate_mismatch_exit_2_before_writing(tmp_path, capsys):
+    bank8k = tmp_path / "bank8k.bin"
+    save_hrir_bank(make_spherical_bank([0.0, 90.0, 270.0], DTM, 8000), bank8k)
+    pool8k = tmp_path / "pool8k"
+    pool8k.mkdir()
+    for name in ("a", "b"):
+        write_wav(Waveform(np.zeros(8000), 8000), pool8k / f"{name}.wav")
+    cases = [
+        (["--hrir-bank", str(bank8k)], "rate 8000 != --sample-rate 16000"),
+        (["--pool", str(pool8k)], "rate 8000 != --sample-rate 16000"),
+    ]
+    for k, (extra, message) in enumerate(cases):
+        for command in ("synth", "dataset"):
+            out = tmp_path / f"{command}{k}"
+            assert main([command, *extra, "--out", str(out)]) == 2, (command, extra)
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_config_flags_follow_defaults(tmp_path):

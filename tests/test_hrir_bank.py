@@ -89,3 +89,6 @@ def test_bank_validation():
     other = Waveform(np.zeros(4), 8000)
     with pytest.raises(ValueError, match="sample-rate mismatch"):
         HrirBank(entries={0.0: (wave, other)}, sample_rate=16000)
+    empty = Waveform(np.zeros(0), 16000)
+    with pytest.raises(ValueError, match="empty impulse response"):
+        HrirBank(entries={0.0: (wave, empty)}, sample_rate=16000)

@@ -1,5 +1,7 @@
 """Region geometry, HRIR synthesis, and scene rendering tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,8 @@ from regionsep import (
     synth_scene,
     synth_spherical_hrir,
 )
-from helpers import DTM, SR, spherical_bank
+from regionsep.scenes import RENDER_GROUP_BLOCKS, _fft_size
+from helpers import DTM, SR, oracle_render, spherical_bank
 
 
 def test_region_of_azimuth_landmarks():
@@ -251,3 +254,66 @@ def test_random_scene_region_uniformity():
     assert total == 4 * n_scenes
     for region in (1, 2, 3):
         assert abs(counts[region] / total - 1 / 3) < 0.02 / 3
+
+
+def _one_pair_bank(left: np.ndarray, right: np.ndarray) -> HrirBank:
+    return HrirBank(
+        entries={0.0: (Waveform(left, SR), Waveform(right, SR))}, sample_rate=SR
+    )
+
+
+def _render_lengths(taps: int):
+    """Input lengths around every boundary of the overlap-save renderer."""
+    step = _fft_size(taps) - taps + 1
+    group = RENDER_GROUP_BLOCKS * step
+    lengths = {1, taps - 1, taps, step - 1, step, step + 1, 64000, 3 * group + 5}
+    for edge in (group, 2 * group):
+        # an input, or a full convolution, that ends at a group boundary
+        for n in (edge, edge - taps + 1):
+            lengths.update((n - 1, n, n + 1))
+    return sorted(n for n in lengths if n >= 1)
+
+
+@pytest.mark.parametrize("taps", [1, 7, 256, 300])
+def test_render_matches_direct_convolution(taps):
+    rng = np.random.default_rng(taps)
+    h_left, h_right = rng.standard_normal((2, taps))
+    bank = _one_pair_bank(h_left, h_right)
+    for n in _render_lengths(taps):
+        wave = Waveform(rng.standard_normal(n), SR)
+        support = n + taps - 1
+        for n_out in (max(n - 3, 1), support, support + 11):
+            out = render_binaural_source(wave, bank, 0.0, n_out / SR, gain=0.7)
+            for got, h in ((out.left.samples, h_left), (out.right.samples, h_right)):
+                want = oracle_render(wave.samples, h, 0.7, n_out)
+                assert len(got) == n_out
+                err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert err <= 1e-13, (n, n_out, err)
+                assert not np.any(got[support:]), (n, n_out)
+
+
+def test_render_of_silence_is_exact_zeros():
+    rng = np.random.default_rng(9)
+    bank = _one_pair_bank(*rng.standard_normal((2, 256)))
+    wave = Waveform(np.zeros(30000), SR)
+    out = render_binaural_source(wave, bank, 0.0, 31000 / SR)
+    assert not np.any(out.left.samples) and not np.any(out.right.samples)
+
+
+def test_render_memory_is_the_outputs_plus_a_group():
+    bank = spherical_bank()
+    wave = Waveform(np.random.default_rng(8).standard_normal(120 * SR) * 0.1, SR)
+    tracemalloc.start()
+    try:
+        out = render_binaural_source(wave, bank, 40.0, 120.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = out.left.samples.nbytes + out.right.samples.nbytes
+    assert peak <= outputs + 4 * 2**20, (peak, outputs)
+
+
+def test_render_rejects_a_source_at_another_rate():
+    wave = Waveform(np.zeros(800), 8000)
+    with pytest.raises(ValueError, match="rate 8000 != bank rate 16000"):
+        render_binaural_source(wave, spherical_bank(), 0.0, 0.1)

@@ -89,3 +89,19 @@ def test_custom_bands_override():
     inside = spectrum[int(98 * scale) : int(112 * scale)].sum()
     total = spectrum.sum()
     assert inside > 0.99 * total
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 8])
+@pytest.mark.parametrize(
+    "duration, rate",
+    [(4.0, SR), (0.05, SR), (1.0, 11025)],  # the fade is n // 2; odd n
+)
+def test_pool_equals_sequential_sources(count, duration, rate):
+    pool = make_source_pool(seed=21, count=count, duration=duration, sample_rate=rate)
+    rng = np.random.default_rng(21)
+    assert sorted(pool) == [f"src{i:03d}" for i in range(count)]
+    for i in range(count):
+        want = band_noise_source(rng, duration, rate, band_group=i % 2)
+        got = pool[f"src{i:03d}"]
+        assert got.sample_rate == rate
+        assert np.array_equal(got.samples, want.samples), i
