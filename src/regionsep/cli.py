@@ -56,15 +56,16 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
-DEFAULT_DELTA_TAU_MAX = 8.9e-4  # seconds; 1/(2*562 Hz)
+DEFAULT_DELTA_TAU_MAX = SeparationConfig().delta_tau_max  # seconds
 
 
 class ConfigError(ValueError):
     pass
 
 
-# config keys that set a field of SeparationConfig, and of its StftConfig
-_SEP_KEYS = ("f_aliasing", "sigma_th", "delta_tau_min", "alpha", "energy_floor_db")
+# config keys that set a field of SeparationConfig, and of its StftConfig;
+# delta_tau_max also sets the aliasing frequency (SeparationConfig.f_aliasing)
+_SEP_KEYS = ("delta_tau_max", "sigma_th", "delta_tau_min", "alpha", "energy_floor_db")
 _STFT_KEYS = ("fft_size", "hop", "sample_rate")
 
 # every config key with its default: the library configs' own, then the CLI's
@@ -72,7 +73,6 @@ _DEFAULTS = {
     **{key: getattr(SeparationConfig(), key) for key in _SEP_KEYS},
     **{key: getattr(SeparationConfig().stft, key) for key in _STFT_KEYS},
     "seed": 0,
-    "delta_tau_max": DEFAULT_DELTA_TAU_MAX,
     "clean_ratio": 0.5,
     "duration": 4.0,
 }
@@ -129,7 +129,7 @@ def _check_pool_args(args, *counts: str) -> int:
     return args.jobs
 
 
-def _load_pool(args, params: dict, min_sources: int) -> dict:
+def _load_pool(args, params: dict, cfg: SeparationConfig, min_sources: int) -> dict:
     """WAV directory if given, else a seeded synthetic band-noise pool."""
     if getattr(args, "pool", None):
         pool = {}
@@ -137,14 +137,14 @@ def _load_pool(args, params: dict, min_sources: int) -> dict:
             signal = read_wav(wav)
             if isinstance(signal, BinauralSignal):
                 raise ConfigError(f"pool sources must be mono: {wav}")
-            _check_rate(f"pool source {wav}", signal.sample_rate, params)
+            _check_rate(f"pool source {wav}", signal.sample_rate, cfg)
             pool[wav.stem] = signal
     else:
         pool = make_source_pool(
             seed=int(params["seed"]) ^ 0x5EED,
             count=args.pool_size,
             duration=float(params["duration"]),
-            sample_rate=int(params["sample_rate"]),
+            sample_rate=cfg.stft.sample_rate,
         )
     if len(pool) < min_sources:
         raise ConfigError(
@@ -153,23 +153,19 @@ def _load_pool(args, params: dict, min_sources: int) -> dict:
     return pool
 
 
-def _check_rate(what: str, rate: int, params: dict) -> None:
-    if rate != int(params["sample_rate"]):
-        raise ConfigError(
-            f"{what} rate {rate} != --sample-rate {int(params['sample_rate'])}"
-        )
+def _check_rate(what: str, rate: int, cfg: SeparationConfig) -> None:
+    if rate != cfg.stft.sample_rate:
+        raise ConfigError(f"{what} rate {rate} != --sample-rate {cfg.stft.sample_rate}")
 
 
-def _load_bank(args, params: dict):
+def _load_bank(args, cfg: SeparationConfig):
     if getattr(args, "hrir_bank", None):
         bank = load_hrir_bank(args.hrir_bank)
-        _check_rate(f"HRIR bank {args.hrir_bank}", bank.sample_rate, params)
+        _check_rate(f"HRIR bank {args.hrir_bank}", bank.sample_rate, cfg)
         return bank
     azimuths = np.arange(0.0, 360.0, 5.0)
     return make_spherical_bank(
-        azimuths,
-        delta_tau_max=float(params["delta_tau_max"]),
-        sample_rate=int(params["sample_rate"]),
+        azimuths, delta_tau_max=cfg.delta_tau_max, sample_rate=cfg.stft.sample_rate
     )
 
 
@@ -196,9 +192,9 @@ def _synth_one(shared, task):
 def cmd_synth(args) -> int:
     jobs = _check_pool_args(args, "num_scenes")
     params = _load_params(args)
-    _separation_config(params)  # validate shared numeric invariants early
-    pool = _load_pool(args, params, min_sources=1)
-    bank = _load_bank(args, params)
+    cfg = _separation_config(params)
+    pool = _load_pool(args, params, cfg, min_sources=1)
+    bank = _load_bank(args, cfg)
     out = Path(args.out)
 
     k_range = (args.k_min, args.k_max)
@@ -225,12 +221,18 @@ def cmd_separate(args) -> int:
     signal = read_wav(args.input)
     if not isinstance(signal, BinauralSignal):
         raise ConfigError("separate requires a stereo input file")
+    _check_rate(f"input {args.input}", signal.sample_rate, cfg)
+    if len(signal) < cfg.min_input_samples:
+        raise ConfigError(
+            f"input {args.input} too short: {len(signal)} samples, need at "
+            f"least {cfg.min_input_samples} (4 STFT frames)"
+        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     source_id = Path(args.input).stem
 
     outcome = separate(signal, cfg)
-    records = outcome_records(outcome, source_id, float(params["delta_tau_max"]))
+    records = outcome_records(outcome, source_id, cfg.delta_tau_max)
     names = ["passthrough.wav"] if len(records) == 1 else ["source1.wav", "source2.wav"]
     entries = []
     clipped = 0
@@ -293,7 +295,14 @@ def cmd_eval(args) -> int:
             sig = _read_binaural(path)
             refs.append(sig)
             active.append(bool(np.any(sig.left.samples) or np.any(sig.right.samples)))
-            estimates.append(_read_binaural(est_root / scene_dir.name / path.name))
+            est_path = est_root / scene_dir.name / path.name
+            estimate = _read_binaural(est_path)
+            if len(estimate) != len(sig):
+                raise AudioFormatError(
+                    f"{est_path} has {len(estimate)} samples, "
+                    f"its reference {len(sig)}"
+                )
+            estimates.append(estimate)
         mixture_set = RegionMixtureSet(
             region_signals=tuple(refs), mixture=mixture, active=tuple(active)
         )
@@ -309,14 +318,13 @@ def cmd_dataset(args) -> int:
     jobs = _check_pool_args(args, "num", "tuples")
     params = _load_params(args)
     cfg = _separation_config(params)
-    pool = _load_pool(args, params, min_sources=2)
-    bank = _load_bank(args, params)
+    pool = _load_pool(args, params, cfg, min_sources=2)
+    bank = _load_bank(args, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    dt_min, dt_max = float(params["delta_tau_min"]), float(params["delta_tau_max"])
     seed = int(params["seed"])
-    results = harvest_mixtures(pool, bank, cfg, dt_min, dt_max, args.num, seed, jobs)
+    results = harvest_mixtures(pool, bank, cfg, args.num, seed, jobs)
     records = []
     stats = DirtyBuildStats()
     clipped = 0  # samples clipped to full scale in every WAV written, tuples too
@@ -356,7 +364,7 @@ def cmd_dataset(args) -> int:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, keys=_FLAG_KEYS):
-    """--config plus one flag per config key: --f-aliasing for f_aliasing."""
+    """--config plus one flag per config key: --delta-tau-max for delta_tau_max."""
     parser.add_argument("--config", help="JSON config file")
     for key in keys:
         parser.add_argument("--" + key.replace("_", "-"), type=type(_DEFAULTS[key]))

@@ -152,11 +152,11 @@ HarvestResult = Tuple[int, List[SourceRecord], Optional[str]]
 
 def _harvest_one(shared, task) -> HarvestResult:
     """Draw mixture ``index``, render it, run stage 1, harvest labeled records."""
-    pool, bank, cfg, delta_tau_min, delta_tau_max = shared
+    pool, bank, cfg = shared
     index, seed_seq = task
     rng = np.random.default_rng(seed_seq)
     id1, az1, id2, az2 = draw_mixture_params(
-        rng, sorted(pool), bank.azimuths, delta_tau_min, delta_tau_max
+        rng, sorted(pool), bank.azimuths, cfg.delta_tau_min, cfg.delta_tau_max
     )
     duration = max(pool[id1].duration, pool[id2].duration)
     s1 = render_binaural_source(pool[id1], bank, az1, duration)
@@ -169,10 +169,10 @@ def _harvest_one(shared, task) -> HarvestResult:
     outcome = separate(mixture, cfg)
     if isinstance(outcome, Discarded):
         return index, [], outcome.reason
-    records = outcome_records(outcome, f"mix{index:05d}", delta_tau_max)
+    records = outcome_records(outcome, f"mix{index:05d}", cfg.delta_tau_max)
     if isinstance(outcome, Separated):
         # the clean original is the rendered source whose model ITD is nearest
-        true_itds = [spherical_itd(az, delta_tau_max) for az in (az1, az2)]
+        true_itds = [spherical_itd(az, cfg.delta_tau_max) for az in (az1, az2)]
         for k, rec in enumerate(records):
             nearest = int(np.argmin([abs(rec.itd - t) for t in true_itds]))
             records[k] = dataclasses.replace(rec, clean_signal=(s1, s2)[nearest])
@@ -183,8 +183,6 @@ def harvest_mixtures(
     pool: Mapping[str, Waveform],
     bank: HrirBank,
     cfg: SeparationConfig,
-    delta_tau_min: float,
-    delta_tau_max: float,
     n: int,
     seed: int,
     jobs: int = 1,
@@ -192,11 +190,13 @@ def harvest_mixtures(
     """Yield ``(index, records, discard_reason)`` for ``n`` seeded mixtures.
 
     Mixture ``i`` draws its pair and azimuths from child ``i`` of
-    ``SeedSequence(seed)``, so results do not depend on ``jobs``. They are
-    yielded in index order; with ``jobs > 1`` a process pool computes them,
-    receiving the pool, bank and configs once per worker.
+    ``SeedSequence(seed)``, so results do not depend on ``jobs``. The pair's
+    ITD gap and the region labels use ``cfg``'s head geometry
+    (``delta_tau_min``, ``delta_tau_max``). Results are yielded in index
+    order; with ``jobs > 1`` a process pool computes them, receiving the
+    pool, bank and config once per worker.
     """
-    shared = (pool, bank, cfg, delta_tau_min, delta_tau_max)
+    shared = (pool, bank, cfg)
     tasks = enumerate(np.random.SeedSequence(seed).spawn(n))
     return ordered_map(_harvest_one, shared, tasks, jobs)
 
@@ -205,8 +205,6 @@ def build_dirty_sources(
     pool: Mapping[str, Waveform],
     bank: HrirBank,
     cfg: SeparationConfig,
-    delta_tau_min: float,
-    delta_tau_max: float,
     n: int,
     seed: int,
     max_duration: Optional[float] = None,
@@ -223,9 +221,7 @@ def build_dirty_sources(
     records: List[SourceRecord] = []
     stats = DirtyBuildStats()
     harvested_seconds = 0.0
-    results = harvest_mixtures(
-        pool, bank, cfg, delta_tau_min, delta_tau_max, n, seed, jobs
-    )
+    results = harvest_mixtures(pool, bank, cfg, n, seed, jobs)
     with closing(results):
         for _, new_records, discard_reason in results:
             stats.add(new_records, discard_reason)

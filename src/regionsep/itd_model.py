@@ -84,8 +84,7 @@ def fit_single_gaussian(samples: Sequence[float]) -> GaussianComponent:
 def single_gaussian_log_likelihood(samples: Sequence[float]) -> float:
     c = fit_single_gaussian(samples)
     x = np.asarray(samples, dtype=np.float64)
-    z = (x - c.mean) / c.std
-    return float(np.sum(-0.5 * z * z - math.log(c.std) - 0.5 * math.log(2 * math.pi)))
+    return float(np.sum(_log_pdf(x, c.mean, c.std)))
 
 
 def _log_pdf(x: np.ndarray, mean: float, std: float) -> np.ndarray:

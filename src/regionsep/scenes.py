@@ -92,14 +92,21 @@ def region_of_itd(itd: float, delta_tau_max: float) -> int:
 
     Magnitudes below delta_tau_max*sin(45 deg) fall in the merged
     front/back cone (region 1); larger positive ITDs (left leads) map to
-    the left region 2, negative to the right region 3.
+    the left region 2, negative to the right region 3. An ITD beyond
+    delta_tau_max is lateral; it is warned about and labeled by its sign.
+
+    This agrees with ``region_of_azimuth(default_layout_r3(), az)`` for the
+    spherical ITD of every azimuth except the four region boundaries, and
+    no ITD rule can agree there: 45 and 135 deg share an ITD, as do 225 and
+    315 deg, but the layout puts 45 and 225 deg in a lateral region and 135
+    and 315 deg in the front/back one. The ITD rule calls all four lateral,
+    so a source at 315 deg is labeled region 2.
     """
     if abs(itd) > delta_tau_max:
         warnings.warn(
             f"ITD {itd} exceeds delta_tau_max {delta_tau_max}; clamping",
             stacklevel=2,
         )
-        itd = math.copysign(delta_tau_max, itd)
     if abs(itd) < delta_tau_max * math.sin(math.radians(45.0)):
         return 1
     return 2 if itd > 0 else 3

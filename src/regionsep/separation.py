@@ -16,7 +16,12 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .audio import BinauralSignal
-from .features import DEFAULT_ENERGY_FLOOR_DB, FeatureGrid, compute_features
+from .features import (
+    DEFAULT_ENERGY_FLOOR_DB,
+    FeatureGrid,
+    aliasing_frequency,
+    compute_features,
+)
 from .itd_model import (
     Discard,
     EmSettings,
@@ -32,7 +37,7 @@ REASON_NO_DOMINANT_FRAMES = "no_dominant_frames"
 @dataclass(frozen=True)
 class SeparationConfig:
     stft: StftConfig = field(default_factory=clustering_config)
-    f_aliasing: float = 562.0
+    delta_tau_max: float = 8.9e-4   # seconds, the head's largest ITD
     sigma_th: float = 7e-5          # seconds
     delta_tau_min: float = 6e-4     # seconds
     alpha: float = 5.0              # time-domain dominance factor
@@ -45,10 +50,21 @@ class SeparationConfig:
             raise ValueError(f"alpha must exceed 1, got {self.alpha}")
         if not 0.0 < self.f_aliasing < self.stft.sample_rate / 2:
             raise ValueError(
-                f"f_aliasing {self.f_aliasing} outside (0, nyquist)"
+                f"delta_tau_max {self.delta_tau_max} gives aliasing frequency "
+                f"{self.f_aliasing} outside (0, nyquist)"
             )
         if self.sigma_th <= 0 or self.delta_tau_min <= 0:
             raise ValueError("sigma_th and delta_tau_min must be positive")
+
+    @property
+    def f_aliasing(self) -> float:
+        """Lowest frequency whose interaural phase can wrap, set by delta_tau_max."""
+        return aliasing_frequency(self.delta_tau_max)
+
+    @property
+    def min_input_samples(self) -> int:
+        """Shortest input ``separate`` accepts: 4 STFT frames."""
+        return self.stft.fft_size + 3 * self.stft.hop
 
 
 @dataclass(frozen=True)
@@ -167,11 +183,10 @@ def separate(m: BinauralSignal, cfg: SeparationConfig) -> SeparationOutcome:
         raise ValueError(
             f"input rate {m.sample_rate} != config rate {cfg.stft.sample_rate}"
         )
-    min_len = cfg.stft.fft_size + 3 * cfg.stft.hop
-    if len(m) < min_len:
+    if len(m) < cfg.min_input_samples:
         raise ValueError(
-            f"input too short: {len(m)} samples, need at least {min_len} "
-            "(4 STFT frames)"
+            f"input too short: {len(m)} samples, need at least "
+            f"{cfg.min_input_samples} (4 STFT frames)"
         )
 
     spec_l, spec_r = stft_many((m.left, m.right), cfg.stft)

@@ -24,7 +24,7 @@ from regionsep.signals import band_noise_source
 from regionsep.stft import Spectrogram
 
 SR = 16000
-DTM = 8.9e-4  # seconds, the delta_tau_max behind f_aliasing = 562 Hz
+DTM = SeparationConfig().delta_tau_max  # seconds
 
 
 @lru_cache(maxsize=2)

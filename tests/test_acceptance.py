@@ -357,6 +357,8 @@ def test_criterion_8_aliasing_constant():
     assert cfg.bin_hz == 15.625
     assert 562.0 / cfg.bin_hz == pytest.approx(35.97, abs=0.01)
     assert aliasing_bin(562.0, cfg) == 36
+    # the default head's derived 561.80 Hz falls in the same bin
+    assert aliasing_bin(SeparationConfig().f_aliasing, cfg) == 36
     print("ACCEPTANCE 8 aliasing constant: PASS (562 Hz -> bin 36)")
 
 

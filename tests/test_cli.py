@@ -10,6 +10,7 @@ import pytest
 import regionsep.cli as cli
 import regionsep.parallel as parallel
 from regionsep import (
+    BinauralSignal,
     EmSettings,
     SeparationConfig,
     Waveform,
@@ -24,6 +25,7 @@ from regionsep import (
     write_wav,
 )
 from regionsep.cli import main
+from regionsep.features import aliasing_bin
 from helpers import DTM, spherical_bank
 from helpers import single_source_scene, tree_digest, two_source_scene
 
@@ -271,6 +273,22 @@ def test_dataset_counts_clipped_samples(tmp_path, monkeypatch):
 def test_cli_defaults_equal_separation_config():
     args = cli.build_parser().parse_args(["separate", "in.wav", "--out", "o"])
     assert cli._separation_config(cli._load_params(args)) == SeparationConfig()
+    assert cli.DEFAULT_DELTA_TAU_MAX == SeparationConfig().delta_tau_max
+
+
+def test_delta_tau_max_sets_the_aliasing_bin(tmp_path, capsys):
+    argv = ["separate", "in.wav", "--out", "o", "--delta-tau-max", "1.2e-3"]
+    cfg = cli._separation_config(cli._load_params(cli.build_parser().parse_args(argv)))
+    assert cfg.delta_tau_max == 1.2e-3
+    assert aliasing_bin(cfg.f_aliasing, cfg.stft) == 27  # 416.67 Hz; 36 by default
+    # the aliasing frequency is no longer a config key of its own
+    with pytest.raises(SystemExit) as exc:
+        main(["separate", "in.wav", "--out", "o", "--f-aliasing", "416.67"])
+    assert exc.value.code == 2
+    stale = tmp_path / "stale.json"
+    stale.write_text('{"f_aliasing": 416.67}')
+    assert _synth(tmp_path / "s", extra=("--config", str(stale))) == 2
+    assert "unknown config keys: ['f_aliasing']" in capsys.readouterr().err
 
 
 def test_jobs_below_one_exit_2(tmp_path, capsys):
@@ -293,9 +311,7 @@ def test_dataset_command_matches_build_dirty_sources(tmp_path):
         seed=seed ^ 0x5EED, count=4, duration=2.0, sample_rate=16000
     )
     cfg = SeparationConfig(em=EmSettings(seed=seed), seed=seed)
-    records, stats = build_dirty_sources(
-        pool, spherical_bank(), cfg, 6e-4, DTM, n=8, seed=seed
-    )
+    records, stats = build_dirty_sources(pool, spherical_bank(), cfg, n=8, seed=seed)
     assert records and stats.n_discarded > 0
 
     written = json.loads((out / "stats.json").read_text())
@@ -398,6 +414,40 @@ def test_sample_rate_mismatch_exit_2_before_writing(tmp_path, capsys):
             assert main([command, *extra, "--out", str(out)]) == 2, (command, extra)
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+
+def test_separate_rejects_unusable_input_before_writing(tmp_path, capsys):
+    def stereo(n, rate):
+        return BinauralSignal(Waveform(np.zeros(n), rate), Waveform(np.zeros(n), rate))
+
+    min_len = SeparationConfig().min_input_samples  # 4 STFT frames: 2560 samples
+    cases = [
+        ("short", stereo(min_len - 1, 16000), f"{min_len - 1} samples, need at least"),
+        ("cd", stereo(44100, 44100), "rate 44100 != --sample-rate 16000"),
+    ]
+    for name, signal, message in cases:
+        wav = tmp_path / f"{name}.wav"
+        write_wav(signal, wav)
+        out = tmp_path / f"{name}_out"
+        assert main(["separate", str(wav), "--out", str(out)]) == 2, name
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_eval_estimate_length_mismatch_exit_3(tmp_path, capsys):
+    refs = tmp_path / "refs"
+    assert _synth(refs, seed=5, num=1) == 0
+    est = tmp_path / "est" / "scene_0000"
+    est.mkdir(parents=True)
+    for path in (refs / "scene_0000").glob("region_*.wav"):
+        (est / path.name).write_bytes(path.read_bytes())
+    ref = read_wav(refs / "scene_0000" / "region_2.wav")
+    doubled = [Waveform(np.tile(ch.samples, 2), 16000) for ch in (ref.left, ref.right)]
+    write_wav(BinauralSignal(*doubled), est / "region_2.wav")
+    argv = ["eval", "--estimates", str(tmp_path / "est"), "--references", str(refs)]
+    assert main(argv + ["--out", str(tmp_path / "report.jsonl")]) == 3
+    err = capsys.readouterr().err
+    assert "I/O error" in err and "region_2.wav has 32000 samples" in err
 
 
 def test_config_flags_follow_defaults(tmp_path):

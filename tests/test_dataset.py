@@ -41,9 +41,7 @@ def pool():
 @pytest.fixture(scope="module")
 def harvested(pool):
     cfg = SeparationConfig()
-    return build_dirty_sources(
-        pool, spherical_bank(), cfg, DTAU_MIN, DTM, n=12, seed=9
-    )
+    return build_dirty_sources(pool, spherical_bank(), cfg, n=12, seed=9)
 
 
 def test_draw_mixture_params_constraints(pool):
@@ -111,7 +109,7 @@ def test_build_dirty_sources_stats_and_labels(harvested):
 def test_build_dirty_sources_deterministic(pool, harvested):
     records, stats = harvested
     again, stats2 = build_dirty_sources(
-        pool, spherical_bank(), SeparationConfig(), DTAU_MIN, DTM, n=12, seed=9
+        pool, spherical_bank(), SeparationConfig(), n=12, seed=9
     )
     assert stats2.to_record() == stats.to_record()
     assert len(again) == len(records)
@@ -125,8 +123,6 @@ def test_max_duration_budget(pool):
         pool,
         spherical_bank(),
         SeparationConfig(),
-        DTAU_MIN,
-        DTM,
         n=12,
         seed=9,
         max_duration=3.0,
@@ -143,8 +139,6 @@ def test_max_duration_stops_at_same_record_serial_and_pooled(pool):
             pool,
             spherical_bank(),
             SeparationConfig(),
-            DTAU_MIN,
-            DTM,
             n=12,
             seed=9,
             max_duration=3.0,

@@ -74,6 +74,18 @@ def test_region_of_itd():
     assert region_of_itd(0.5 * DTM, DTM) == 1  # 0.5 < sin(45 deg)
     with pytest.warns(UserWarning, match="clamping"):
         assert region_of_itd(2 * DTM, DTM) == 2
+    with pytest.warns(UserWarning, match="exceeds delta_tau_max"):
+        assert region_of_itd(-2 * DTM, DTM) == 3
+
+
+def test_region_of_itd_matches_layout_off_the_boundaries():
+    # 45/135 and 225/315 deg share an ITD but not a layout region
+    layout = default_layout_r3()
+    for az in np.arange(0.0, 360.0, 5.0):
+        if az in (45.0, 135.0, 225.0, 315.0):
+            continue
+        itd = spherical_itd(az, DTM)
+        assert region_of_itd(itd, DTM) == region_of_azimuth(layout, az), az
 
 
 def test_synth_scene_hand_convolution():

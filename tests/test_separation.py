@@ -30,8 +30,11 @@ from helpers import SR, check_mask_algebra, single_source_scene, two_source_scen
 def test_config_validation():
     with pytest.raises(ValueError, match="alpha"):
         SeparationConfig(alpha=1.0)
-    with pytest.raises(ValueError, match="f_aliasing"):
-        SeparationConfig(f_aliasing=9000.0)
+    # 1/(2*dt) = 9 kHz, above the 8 kHz nyquist of the 16 kHz default
+    with pytest.raises(ValueError, match="delta_tau_max .* outside \\(0, nyquist\\)"):
+        SeparationConfig(delta_tau_max=1.0 / 18000.0)
+    with pytest.raises(ValueError, match="delta_tau_max must be positive"):
+        SeparationConfig(delta_tau_max=0.0)
     with pytest.raises(ValueError, match="positive"):
         SeparationConfig(sigma_th=0.0)
 
