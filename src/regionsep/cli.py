@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from contextlib import closing
@@ -34,7 +35,6 @@ from .dataset import (
     outcome_records,
 )
 from .hrir import load_hrir_bank
-from .itd_model import EmSettings
 from .manifest import ManifestEntry, write_manifest
 from .metrics import evaluate_regions
 from .parallel import ordered_map
@@ -81,7 +81,8 @@ _FLAG_KEYS = tuple(key for key in _DEFAULTS if key != "clean_ratio")
 
 
 def _load_params(args) -> dict:
-    """File values under CLI flags under built-in defaults."""
+    """File values under CLI flags under built-in defaults, each typed like
+    its default (the flags are typed so by argparse)."""
     params = dict(_DEFAULTS)
     if getattr(args, "config", None):
         try:
@@ -91,7 +92,11 @@ def _load_params(args) -> dict:
         unknown = set(file_values) - set(_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        params.update(file_values)
+        for key, value in file_values.items():
+            try:
+                params[key] = type(_DEFAULTS[key])(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config key {key}: {exc}") from exc
     for key in _DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -102,10 +107,9 @@ def _load_params(args) -> dict:
 def _separation_config(params: dict) -> SeparationConfig:
     try:
         return SeparationConfig(
-            stft=StftConfig(**{key: int(params[key]) for key in _STFT_KEYS}),
-            **{key: float(params[key]) for key in _SEP_KEYS},
-            em=EmSettings(seed=int(params["seed"])),
-            seed=int(params["seed"]),
+            stft=StftConfig(**{key: params[key] for key in _STFT_KEYS}),
+            **{key: params[key] for key in _SEP_KEYS},
+            seed=params["seed"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -141,9 +145,9 @@ def _load_pool(args, params: dict, cfg: SeparationConfig, min_sources: int) -> d
             pool[wav.stem] = signal
     else:
         pool = make_source_pool(
-            seed=int(params["seed"]) ^ 0x5EED,
+            seed=params["seed"] ^ 0x5EED,
             count=args.pool_size,
-            duration=float(params["duration"]),
+            duration=params["duration"],
             sample_rate=cfg.stft.sample_rate,
         )
     if len(pool) < min_sources:
@@ -151,6 +155,17 @@ def _load_pool(args, params: dict, cfg: SeparationConfig, min_sources: int) -> d
             f"source pool too small: {len(pool)} sources, need at least {min_sources}"
         )
     return pool
+
+
+def _checked_duration(params: dict, cfg: SeparationConfig, min_samples: int) -> float:
+    """The --duration in seconds, if it gives at least ``min_samples`` samples."""
+    duration = params["duration"]
+    rate = cfg.stft.sample_rate
+    if not (math.isfinite(duration) and round(duration * rate) >= min_samples):
+        raise ConfigError(
+            f"--duration {duration} gives fewer than {min_samples} samples at {rate} Hz"
+        )
+    return duration
 
 
 def _check_rate(what: str, rate: int, cfg: SeparationConfig) -> None:
@@ -193,13 +208,14 @@ def cmd_synth(args) -> int:
     jobs = _check_pool_args(args, "num_scenes")
     params = _load_params(args)
     cfg = _separation_config(params)
+    duration = _checked_duration(params, cfg, min_samples=1)
     pool = _load_pool(args, params, cfg, min_sources=1)
     bank = _load_bank(args, cfg)
     out = Path(args.out)
 
     k_range = (args.k_min, args.k_max)
-    shared = (default_layout_r3(), k_range, float(params["duration"]), pool, bank)
-    root = np.random.SeedSequence(int(params["seed"]))
+    shared = (default_layout_r3(), k_range, duration, pool, bank)
+    root = np.random.SeedSequence(params["seed"])
     tasks = enumerate(root.spawn(args.num_scenes))
     clipped = 0
     with closing(ordered_map(_synth_one, shared, tasks, jobs)) as results:
@@ -302,6 +318,11 @@ def cmd_eval(args) -> int:
                     f"{est_path} has {len(estimate)} samples, "
                     f"its reference {len(sig)}"
                 )
+            if estimate.sample_rate != sig.sample_rate:
+                raise AudioFormatError(
+                    f"{est_path} is at {estimate.sample_rate} Hz, "
+                    f"its reference at {sig.sample_rate} Hz"
+                )
             estimates.append(estimate)
         mixture_set = RegionMixtureSet(
             region_signals=tuple(refs), mixture=mixture, active=tuple(active)
@@ -318,12 +339,22 @@ def cmd_dataset(args) -> int:
     jobs = _check_pool_args(args, "num", "tuples")
     params = _load_params(args)
     cfg = _separation_config(params)
+    clean_ratio = params["clean_ratio"]
+    if not 0.0 <= clean_ratio <= 1.0:
+        raise ConfigError(f"--clean-ratio must be in [0, 1], got {clean_ratio}")
+    _checked_duration(params, cfg, cfg.min_input_samples)
     pool = _load_pool(args, params, cfg, min_sources=2)
+    short = sorted(w for w in pool if len(pool[w]) < cfg.min_input_samples)
+    if short:
+        raise ConfigError(
+            f"pool sources shorter than {cfg.min_input_samples} samples "
+            f"(4 STFT frames): {short}"
+        )
     bank = _load_bank(args, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    seed = int(params["seed"])
+    seed = params["seed"]
     results = harvest_mixtures(pool, bank, cfg, args.num, seed, jobs)
     records = []
     stats = DirtyBuildStats()
@@ -346,7 +377,7 @@ def cmd_dataset(args) -> int:
             records,
             default_layout_r3(),
             (args.k_min, args.k_max),
-            float(params["clean_ratio"]),
+            clean_ratio,
             args.tuples,
             seed=seed ^ 0x70B1E5,
         )

@@ -22,6 +22,7 @@ from .hrir import HrirBank
 from .parallel import ordered_map
 from .scenes import (
     RegionLayout,
+    draw_region_first,
     region_of_itd,
     render_binaural_source,
     spherical_itd,
@@ -41,7 +42,6 @@ PROVENANCE_SINGLE = "stage1_single"
 PROVENANCE_SEPARATED = "stage1_separated"
 
 _PAIR_DRAW_LIMIT = 1000
-_REGION_DRAW_LIMIT = 100
 
 
 @dataclass(frozen=True)
@@ -88,14 +88,7 @@ class DirtyBuildStats:
         return (self.n_passthrough + self.n_separated) / self.n_mixtures
 
     def to_record(self) -> dict:
-        return {
-            "n_mixtures": self.n_mixtures,
-            "n_passthrough": self.n_passthrough,
-            "n_separated": self.n_separated,
-            "n_discarded": self.n_discarded,
-            "discard_reasons": dict(sorted(self.discard_reasons.items())),
-            "acceptance_rate": self.acceptance_rate,
-        }
+        return {**dataclasses.asdict(self), "acceptance_rate": self.acceptance_rate}
 
 
 def draw_mixture_params(
@@ -245,8 +238,9 @@ def build_training_tuples(
 
     Each drawn dirty source is replaced by its clean original with
     probability ``clean_ratio`` when one is attached to the record.
-    Region draws are uniform over regions with database entries; a draw
-    landing on an empty region is retried up to a bound.
+    Each source is drawn region-first (``scenes.draw_region_first``): a
+    uniform region among those with database entries, then a uniform
+    entry of it.
     """
     if not db:
         raise ValueError("source database is empty")
@@ -258,6 +252,8 @@ def build_training_tuples(
 
     by_region: Dict[int, List[SourceRecord]] = {}
     for rec in db:
+        if not 1 <= rec.region <= layout.num_regions:
+            raise ValueError(f"record region {rec.region} is not in the layout")
         by_region.setdefault(rec.region, []).append(rec)
     sample_rate = db[0].signal.sample_rate
 
@@ -269,18 +265,7 @@ def build_training_tuples(
 
         chosen: List[Tuple[int, BinauralSignal, str]] = []
         for _ in range(k):
-            region = None
-            for _ in range(_REGION_DRAW_LIMIT + 1):
-                candidate = 1 + int(rng.integers(layout.num_regions))
-                if candidate in by_region:
-                    region = candidate
-                    break
-            if region is None:
-                raise ValueError(
-                    "drawn regions have no database entries after "
-                    f"{_REGION_DRAW_LIMIT} retries"
-                )
-            rec = by_region[region][int(rng.integers(len(by_region[region])))]
+            region, rec = draw_region_first(rng, by_region)
             use_clean = (
                 rec.clean_signal is not None and rng.random() < clean_ratio
             )

@@ -70,10 +70,15 @@ class FeatureGrid:
         itd[:, self.low_bins] = self.itd_low
         return itd
 
+    @property
+    def valid_low(self) -> np.ndarray:
+        """Where ``itd_low`` is finite and above the floor: the bins the ITD
+        model is fit on and the low-band masks assign."""
+        return np.isfinite(self.itd_low) & ~self.excluded[:, self.low_bins]
+
     def itd_samples(self) -> np.ndarray:
         """ITD values of unaliased, above-floor, non-DC bins, flattened."""
-        valid = np.isfinite(self.itd_low) & ~self.excluded[:, self.low_bins]
-        return self.itd_low[valid]
+        return self.itd_low[self.valid_low]
 
     def frame_energy(self, mask: np.ndarray) -> np.ndarray:
         """``(self.energy * mask).sum(axis=1)`` for a mask that is False at
@@ -164,9 +169,7 @@ def compute_features(
         block += abs_r
         return block.max()
 
-    peaks = thread_map(
-        fill, range(0, n_frames, BLOCK_FRAMES), threaded=n_frames > BLOCK_FRAMES
-    )
+    peaks = thread_map(fill, range(0, n_frames, BLOCK_FRAMES), threaded=True)
     peak = max(peaks, default=0.0)
     if peak > 0.0:
         excluded = energy < peak * 10.0 ** (-abs(energy_floor_db) / 10.0)

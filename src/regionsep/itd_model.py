@@ -92,8 +92,9 @@ def _log_pdf(x: np.ndarray, mean: float, std: float) -> np.ndarray:
     return -0.5 * z * z - math.log(std) - 0.5 * math.log(2.0 * math.pi)
 
 
-def _log_joint(x, mu, sigma, w) -> np.ndarray:
-    """Log of weight times density, per component (rows) and sample."""
+def log_joint(x, mu, sigma, w) -> np.ndarray:
+    """Log of weight times density, per component (rows) and sample: what
+    EM fits and what the low-band masks compare."""
     return np.stack(
         [math.log(max(w[k], 1e-300)) + _log_pdf(x, mu[k], sigma[k]) for k in (0, 1)]
     )
@@ -104,7 +105,7 @@ def _em_run(x, mu, sigma, w):
     n = x.size
     prev_ll = -np.inf
     for _ in range(EM_MAX_ITER):
-        log_p = _log_joint(x, mu, sigma, w)
+        log_p = log_joint(x, mu, sigma, w)
         log_norm = np.logaddexp(log_p[0], log_p[1])
         ll = float(np.sum(log_norm))
         resp = np.exp(log_p - log_norm)
@@ -124,7 +125,7 @@ def _em_run(x, mu, sigma, w):
         prev_ll = ll
 
     # report the likelihood of the returned (post-M-step) parameters
-    log_p = _log_joint(x, mu, sigma, w)
+    log_p = log_joint(x, mu, sigma, w)
     final_ll = float(np.sum(np.logaddexp(log_p[0], log_p[1])))
 
     order = np.argsort(mu)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import List, Optional
 
@@ -17,16 +17,7 @@ class ManifestEntry:
     source_id: str            # originating recording / scene id
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "path": self.path,
-                "itd": self.itd,
-                "region": self.region,
-                "outcome": self.outcome,
-                "source_id": self.source_id,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def write_manifest(entries: List[ManifestEntry], path) -> None:
@@ -34,18 +25,9 @@ def write_manifest(entries: List[ManifestEntry], path) -> None:
 
 
 def read_manifest(path) -> List[ManifestEntry]:
-    entries = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        entries.append(
-            ManifestEntry(
-                path=obj["path"],
-                itd=obj["itd"],
-                region=obj["region"],
-                outcome=obj["outcome"],
-                source_id=obj["source_id"],
-            )
-        )
-    return entries
+    """A manifest's entries; an unknown or missing key raises TypeError."""
+    return [
+        ManifestEntry(**json.loads(line))
+        for line in Path(path).read_text().splitlines()
+        if line.strip()
+    ]

@@ -8,7 +8,7 @@ distortion, which binaural outputs must preserve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,12 +33,18 @@ class LossConfig:
         return 10.0 ** (-self.snr_max_db / 10.0)
 
 
+def _paired(a, b) -> Tuple[np.ndarray, np.ndarray]:
+    """Two signals as float64 arrays of one shape."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    return a, b
+
+
 def snr(reference, estimate) -> float:
     """10*log10(||x||^2 / ||x - xhat||^2), clamped at +100 dB."""
-    x = np.asarray(reference, dtype=np.float64)
-    xhat = np.asarray(estimate, dtype=np.float64)
-    if x.shape != xhat.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {xhat.shape}")
+    x, xhat = _paired(reference, estimate)
     ref_energy = float(np.sum(x * x))
     if ref_energy <= 0.0:
         raise ValueError("reference signal has zero energy")
@@ -61,10 +67,7 @@ def _floored_log10(value: float) -> float:
 
 def loss_snr(reference, estimate, cfg: LossConfig = LossConfig()) -> float:
     """Capped negative-SNR loss: 10*log10(||y - yhat||^2 + tau*||y||^2)."""
-    y = np.asarray(reference, dtype=np.float64)
-    yhat = np.asarray(estimate, dtype=np.float64)
-    if y.shape != yhat.shape:
-        raise ValueError(f"length mismatch: {y.shape} vs {yhat.shape}")
+    y, yhat = _paired(reference, estimate)
     return _floored_log10(
         float(np.sum((y - yhat) ** 2)) + cfg.tau * float(np.sum(y * y))
     )
@@ -72,10 +75,7 @@ def loss_snr(reference, estimate, cfg: LossConfig = LossConfig()) -> float:
 
 def loss_inactive(mixture, estimate, cfg: LossConfig = LossConfig()) -> float:
     """Silence-enforcing loss: 10*log10(||yhat||^2 + tau*||x||^2)."""
-    x = np.asarray(mixture, dtype=np.float64)
-    yhat = np.asarray(estimate, dtype=np.float64)
-    if x.shape != yhat.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {yhat.shape}")
+    x, yhat = _paired(mixture, estimate)
     return _floored_log10(
         float(np.sum(yhat * yhat)) + cfg.tau * float(np.sum(x * x))
     )
@@ -118,13 +118,7 @@ class RegionEvalReport:
     clamped: bool
 
     def to_record(self) -> dict:
-        return {
-            "mode": self.mode,
-            "aggregate_db": self.aggregate_db,
-            "active": list(self.active),
-            "per_region_db": list(self.per_region_db),
-            "clamped": self.clamped,
-        }
+        return asdict(self)
 
 
 def evaluate_regions(refs, estimates: Sequence[BinauralSignal]) -> RegionEvalReport:

@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import BinauralSignal, Waveform
 from .hrir import HrirBank
+from .stft import padded_frames
 
 HRIR_TAPS = 256  # length of each synthesized impulse response
 RENDER_GROUP_BLOCKS = 16  # overlap-save blocks transformed at once
@@ -104,7 +104,7 @@ def region_of_itd(itd: float, delta_tau_max: float) -> int:
     """
     if abs(itd) > delta_tau_max:
         warnings.warn(
-            f"ITD {itd} exceeds delta_tau_max {delta_tau_max}; clamping",
+            f"ITD {itd} exceeds delta_tau_max {delta_tau_max}; labeled by its sign",
             stacklevel=2,
         )
     if abs(itd) < delta_tau_max * math.sin(math.radians(45.0)):
@@ -180,32 +180,14 @@ class SceneSpec:
     hrir_bank_id: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "duration": self.duration,
-                "seed": self.seed,
-                "hrir_bank_id": self.hrir_bank_id,
-                "sources": [
-                    {"source_id": s.source_id, "azimuth": s.azimuth, "gain": s.gain}
-                    for s in self.sources
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "SceneSpec":
+        """A spec as ``to_json`` writes it; an unknown or missing key raises."""
         obj = json.loads(text)
-        return SceneSpec(
-            sources=tuple(
-                SceneSource(s["source_id"], s["azimuth"], s.get("gain", 1.0))
-                for s in obj["sources"]
-            ),
-            duration=obj["duration"],
-            seed=obj.get("seed", 0),
-            hrir_bank_id=obj.get("hrir_bank_id", ""),
-        )
+        sources = tuple(SceneSource(**s) for s in obj.pop("sources"))
+        return SceneSpec(sources=sources, **obj)
 
 
 @dataclass(frozen=True)
@@ -240,7 +222,8 @@ def _overlap_save(
     of its circular convolution with a tap set are the linear convolution's
     samples from ``k * step`` on. Each block is transformed once for both
     ears. ``RENDER_GROUP_BLOCKS`` blocks at a time are cut from their own
-    zero-padded span of the input and written straight into the outputs.
+    zero-padded span of the input (``stft.padded_frames``) and written
+    straight into the outputs.
     Samples past the full convolution's ``len(x) + taps - 1`` stay zero.
     """
     taps = max(len(h_left), len(h_right))
@@ -254,12 +237,7 @@ def _overlap_save(
     for a in range(0, n_valid, RENDER_GROUP_BLOCKS * step):
         b = min(a + RENDER_GROUP_BLOCKS * step, n_valid)
         blocks = -(-(b - a) // step)
-        # the group's span of the input; zeros outside the signal
-        first = a - (taps - 1)
-        span = np.zeros((blocks - 1) * step + n_fft)
-        lo, hi = max(first, 0), min(first + len(span), len(x))
-        span[lo - first : hi - first] = x[lo:hi]
-        frames = sliding_window_view(span, n_fft)[::step]
+        frames = padded_frames(x, a - (taps - 1), blocks, n_fft, step)
         spectrum = np.fft.rfft(frames, axis=1)
         y = np.fft.irfft(spectrum[:, None, :] * spectra, n=n_fft, axis=2)
         left[a:b] = y[:, 0, taps - 1 :].reshape(-1)[: b - a]
@@ -352,6 +330,15 @@ def render_binaural_source(
     return _render_source(wave, bank, azimuth, gain, n_out)[0]
 
 
+def draw_region_first(rng: np.random.Generator, by_region: Mapping[int, Sequence]):
+    """A uniform region among those with members, in ascending id order,
+    then a uniform member of it."""
+    regions = sorted(r for r, members in by_region.items() if members)
+    region = regions[int(rng.integers(len(regions)))]
+    members = by_region[region]
+    return region, members[int(rng.integers(len(members)))]
+
+
 def random_scene(
     k_range: Tuple[int, int],
     layout: RegionLayout,
@@ -372,12 +359,10 @@ def random_scene(
     by_region: Dict[int, List[float]] = {}
     for az in bank.azimuths:
         by_region.setdefault(region_of_azimuth(layout, float(az)), []).append(float(az))
-    region_ids = sorted(r for r in by_region if by_region[r])
 
     sources = []
     for _ in range(k):
-        region = region_ids[int(rng.integers(len(region_ids)))]
-        azimuth = by_region[region][int(rng.integers(len(by_region[region])))]
+        _, azimuth = draw_region_first(rng, by_region)
         source_id = pool_ids[int(rng.integers(len(pool_ids)))]
         sources.append(SceneSource(source_id=source_id, azimuth=azimuth))
     return SceneSpec(sources=tuple(sources), duration=duration, seed=seed)

@@ -28,6 +28,7 @@ from .itd_model import (
     GaussianComponent,
     SinglePeak,
     classify_itds,
+    log_joint,
 )
 from .stft import StftConfig, clustering_config, istft_many, stft_many
 
@@ -103,16 +104,14 @@ def low_frequency_masks(
     c1, c2 = components
     mask1 = np.zeros(grid.energy.shape, dtype=bool)
     mask2 = np.zeros(grid.energy.shape, dtype=bool)
-
-    lo = grid.low_bins
-    valid = np.isfinite(grid.itd_low) & ~grid.excluded[:, lo]
-    itd = grid.itd_low[valid]
-
-    def log_post(c: GaussianComponent) -> np.ndarray:
-        z = (itd - c.mean) / c.std
-        return np.log(max(c.weight, 1e-300)) - 0.5 * z * z - np.log(c.std)
-
-    first_wins = log_post(c1) >= log_post(c2)
+    lo, valid = grid.low_bins, grid.valid_low
+    log_p = log_joint(
+        grid.itd_low[valid],
+        (c1.mean, c2.mean),
+        (c1.std, c2.std),
+        (c1.weight, c2.weight),
+    )
+    first_wins = log_p[0] >= log_p[1]
     mask1[:, lo][valid] = first_wins
     mask2[:, lo][valid] = ~first_wins
     return mask1, mask2

@@ -149,18 +149,25 @@ def stft_many(signals: Sequence[Waveform], cfg: StftConfig) -> List[Spectrogram]
     return [Spectrogram(b, cfg, len(x)) for b, x in zip(bins, signals)]
 
 
+def padded_frames(
+    x: np.ndarray, first: int, count: int, size: int, step: int
+) -> np.ndarray:
+    """``count`` frames of ``size`` samples, ``step`` apart, from sample
+    ``first`` of ``x`` on, reading zeros outside ``x``: a read-only strided
+    view of one zero-padded copy of their span."""
+    span = np.zeros((count - 1) * step + size)
+    lo, hi = max(first, 0), min(first + len(span), len(x))
+    span[lo - first : hi - first] = x[lo:hi]
+    return sliding_window_view(span, size)[::step]
+
+
 def _analyse_into(bins: np.ndarray, samples: np.ndarray, cfg: StftConfig) -> None:
     """Fill ``bins`` with the lead-padded signal's frame spectra, block by block."""
     n, hop = cfg.fft_size, cfg.hop
     win = _window(n)
     for s in range(0, len(bins), BLOCK_FRAMES):
         e = min(s + BLOCK_FRAMES, len(bins))
-        # the block's span of the padded signal; zeros outside the signal
-        first = s * hop - _lead_pad(cfg)
-        span = np.zeros((e - s - 1) * hop + n)
-        lo, hi = max(first, 0), min(first + len(span), len(samples))
-        span[lo - first : hi - first] = samples[lo:hi]
-        frames = sliding_window_view(span, n)[::hop]
+        frames = padded_frames(samples, s * hop - _lead_pad(cfg), e - s, n, hop)
         bins[s:e] = np.fft.rfft(frames * win, axis=1)
 
 

@@ -434,7 +434,9 @@ def test_separate_rejects_unusable_input_before_writing(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_eval_estimate_length_mismatch_exit_3(tmp_path, capsys):
+def _eval_with_region_2(tmp_path, repeats: int = 1, rate: int = 16000) -> int:
+    """`eval` of one synth scene against its own regions, but with the
+    region_2.wav estimate's samples tiled ``repeats`` times at ``rate``."""
     refs = tmp_path / "refs"
     assert _synth(refs, seed=5, num=1) == 0
     est = tmp_path / "est" / "scene_0000"
@@ -442,10 +444,16 @@ def test_eval_estimate_length_mismatch_exit_3(tmp_path, capsys):
     for path in (refs / "scene_0000").glob("region_*.wav"):
         (est / path.name).write_bytes(path.read_bytes())
     ref = read_wav(refs / "scene_0000" / "region_2.wav")
-    doubled = [Waveform(np.tile(ch.samples, 2), 16000) for ch in (ref.left, ref.right)]
-    write_wav(BinauralSignal(*doubled), est / "region_2.wav")
+    left, right = (
+        Waveform(np.tile(ch.samples, repeats), rate) for ch in (ref.left, ref.right)
+    )
+    write_wav(BinauralSignal(left, right), est / "region_2.wav")
     argv = ["eval", "--estimates", str(tmp_path / "est"), "--references", str(refs)]
-    assert main(argv + ["--out", str(tmp_path / "report.jsonl")]) == 3
+    return main(argv + ["--out", str(tmp_path / "report.jsonl")])
+
+
+def test_eval_estimate_length_mismatch_exit_3(tmp_path, capsys):
+    assert _eval_with_region_2(tmp_path, repeats=2) == 3
     err = capsys.readouterr().err
     assert "I/O error" in err and "region_2.wav has 32000 samples" in err
 
@@ -479,3 +487,69 @@ def test_mask_text_equals_savetxt(tmp_path, cols):
     np.savetxt(tmp_path / "want.txt", mask.astype(np.int8), fmt="%d")
     cli.write_mask_text(mask, tmp_path / "got.txt")
     assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+
+def test_bad_duration_and_clean_ratio_exit_2_before_writing(tmp_path, capsys):
+    short_pool = tmp_path / "short_pool"
+    short_pool.mkdir()
+    for name, length in (("a", 2559), ("b", 2560)):
+        write_wav(Waveform(np.full(length, 0.1), 16000), short_pool / f"{name}.wav")
+    text_duration = tmp_path / "text_duration.json"
+    text_duration.write_text('{"duration": "four"}')
+    null_ratio = tmp_path / "null_ratio.json"
+    null_ratio.write_text('{"clean_ratio": null}')
+    fewer = "gives fewer than"
+    cases = [
+        (["synth", "--config", str(text_duration)], "config key duration"),
+        (["dataset", "--config", str(null_ratio)], "config key clean_ratio"),
+        (["dataset", "--clean-ratio", "2", "--tuples", "1"], "got 2.0"),
+        (["dataset", "--clean-ratio", "nan"], "--clean-ratio must be in [0, 1]"),
+        # 0.1 s is 1600 samples; separate() needs 1024 + 3 * 512 = 2560
+        (["dataset", "--duration", "0.1"], f"{fewer} 2560 samples"),
+        (["dataset", "--duration", "-1"], f"{fewer} 2560 samples"),
+        (["dataset", "--pool", str(short_pool)], "2560 samples (4 STFT frames): ['a']"),
+        (["synth", "--duration", "-1"], f"{fewer} 1 samples"),
+        (["synth", "--duration", "0"], f"{fewer} 1 samples"),
+        (["synth", "--duration", "nan"], f"{fewer} 1 samples"),
+    ]
+    for k, (argv, message) in enumerate(cases):
+        out = tmp_path / f"out{k}"
+        small = ["--num", "2"] if argv[0] == "dataset" else ["--num-scenes", "1"]
+        assert main(argv + small + ["--out", str(out)]) == 2, argv
+        assert message in capsys.readouterr().err, argv
+        assert not out.exists(), argv
+    # the shortest accepted durations
+    shortest = [
+        ["dataset", "--duration", "0.16", "--num", "1"],
+        ["synth", "--duration", "0.0001", "--num-scenes", "1"],
+    ]
+    for k, argv in enumerate(shortest):
+        assert main(argv + ["--out", str(tmp_path / f"ok{k}")]) == 0, argv
+
+
+def test_eval_estimate_sample_rate_mismatch_exit_3(tmp_path, capsys):
+    # the same samples labeled 8 kHz would score as a perfect estimate
+    assert _eval_with_region_2(tmp_path, rate=8000) == 3
+    err = capsys.readouterr().err
+    assert "I/O error" in err and "region_2.wav is at 8000 Hz" in err
+
+
+def test_config_file_values_reach_the_command_under_flags(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"duration": 0.5, "seed": 4}))
+    common = ["--num-scenes", "1", "--k-min", "2", "--k-max", "2"]
+
+    def synth(name, *extra):
+        out = tmp_path / name
+        assert main(["synth", "--out", str(out), *common, *extra]) == 0
+        spec = json.loads((out / "scene_0000" / "scene.json").read_text())
+        return spec["duration"], tree_digest(out)
+
+    # a file value overrides a default ...
+    from_file = synth("file", "--config", str(config))
+    assert from_file == synth("flags", "--duration", "0.5", "--seed", "4")
+    assert from_file[0] == 0.5
+    # ... and a flag overrides the file
+    flag_over_file = synth("both", "--config", str(config), "--duration", "0.25")
+    assert flag_over_file == synth("flags2", "--duration", "0.25", "--seed", "4")
+    assert flag_over_file[0] == 0.25

@@ -1,5 +1,8 @@
 """Dirty-source harvesting and training-tuple synthesis tests."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -220,6 +223,9 @@ def test_training_tuples_validation(harvested):
         build_training_tuples(records, layout, (2, 3), 1.5, m=1, seed=0)
     with pytest.raises(ValueError, match="k_range"):
         build_training_tuples(records, layout, (0, 3), 0.5, m=1, seed=0)
+    outside = [dataclasses.replace(records[0], region=4)]
+    with pytest.raises(ValueError, match="region 4 is not in the layout"):
+        build_training_tuples(outside, layout, (2, 3), 0.5, m=1, seed=0)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -231,3 +237,15 @@ def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.jsonl"
     write_manifest(entries, path)
     assert read_manifest(path) == entries
+
+
+def test_read_manifest_rejects_unknown_and_missing_keys(tmp_path):
+    path = tmp_path / "manifest.jsonl"
+    line = json.loads(ManifestEntry("a.wav", 1e-4, 1, "passthrough", "mix1").to_json())
+    path.write_text(json.dumps({**line, "extra": 1}) + "\n")
+    with pytest.raises(TypeError, match="extra"):
+        read_manifest(path)
+    del line["region"]
+    path.write_text(json.dumps(line) + "\n")
+    with pytest.raises(TypeError, match="region"):
+        read_manifest(path)

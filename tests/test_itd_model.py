@@ -13,11 +13,15 @@ from regionsep import (
     fit_gmm2,
     fit_single_gaussian,
 )
+import regionsep.itd_model as itd_model
 from regionsep.itd_model import (
+    EM_RESTARTS,
     REASON_COMPONENTS_TOO_WIDE,
     REASON_PEAKS_TOO_CLOSE,
     REASON_TOO_FEW,
+    REASON_WIDE_SINGLE_BAD_GMM,
     STD_FLOOR,
+    EmFailure,
     single_gaussian_log_likelihood,
 )
 
@@ -157,3 +161,46 @@ def test_fit_gmm2_deterministic():
     first = fit_gmm2(x, EmSettings(seed=1))
     second = fit_gmm2(x, EmSettings(seed=1))
     assert first == second
+
+
+def test_em_run_is_degenerate_when_a_component_owns_no_sample():
+    x = np.random.default_rng(20).normal(0.0, 1.0, size=200)
+    far = itd_model._em_run(x, np.array([0.0, 1e3]), np.ones(2), np.full(2, 0.5))
+    assert far is None
+    near = itd_model._em_run(x, np.array([-0.5, 0.5]), np.ones(2), np.full(2, 0.5))
+    assert near is not None
+
+
+def _spy_em_runs(monkeypatch, failures: int) -> list:
+    """Record the start means of each EM run; the first ``failures`` degenerate."""
+    starts = []
+    real = itd_model._em_run
+
+    def em_run(x, mu, sigma, w):
+        starts.append(mu.copy())
+        return None if len(starts) <= failures else real(x, mu, sigma, w)
+
+    monkeypatch.setattr(itd_model, "_em_run", em_run)
+    return starts
+
+
+def test_degenerate_run_restarts_from_seeded_jittered_means(monkeypatch):
+    x = _bimodal(np.random.default_rng(21), -3e-4, 3e-4, 2e-5, 400)
+    starts = _spy_em_runs(monkeypatch, failures=1)
+    c1, c2, _ = fit_gmm2(x, EmSettings(seed=5))
+    assert len(starts) == 2
+    np.testing.assert_array_equal(starts[0], np.percentile(x, [25.0, 75.0]))
+    jitter = np.random.default_rng(5).standard_normal(2) * np.std(x) * 0.5
+    np.testing.assert_array_equal(starts[1], starts[0] + jitter)
+    assert abs(c1.mean + 3e-4) < 1e-5 and abs(c2.mean - 3e-4) < 1e-5
+
+
+def test_em_failure_on_every_restart_discards(monkeypatch):
+    x = _bimodal(np.random.default_rng(22), -4e-4, 4e-4, 2e-5, 400)
+    starts = _spy_em_runs(monkeypatch, failures=2 * (EM_RESTARTS + 1))
+    with pytest.raises(EmFailure):
+        fit_gmm2(x)
+    assert len(starts) == EM_RESTARTS + 1
+    verdict = classify_itds(x, SIGMA_TH, DTAU_MIN)
+    assert verdict == Discard(REASON_WIDE_SINGLE_BAD_GMM)
+    assert len(starts) == 2 * (EM_RESTARTS + 1)

@@ -1,5 +1,6 @@
 """Region geometry, HRIR synthesis, and scene rendering tests."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from regionsep import (
     synth_scene,
     synth_spherical_hrir,
 )
-from regionsep.scenes import RENDER_GROUP_BLOCKS, _fft_size
+from regionsep.scenes import RENDER_GROUP_BLOCKS, _fft_size, draw_region_first
 from helpers import DTM, SR, oracle_render, spherical_bank
 
 
@@ -72,7 +73,7 @@ def test_region_of_itd():
     assert region_of_itd(DTM, DTM) == 2
     assert region_of_itd(-DTM, DTM) == 3
     assert region_of_itd(0.5 * DTM, DTM) == 1  # 0.5 < sin(45 deg)
-    with pytest.warns(UserWarning, match="clamping"):
+    with pytest.warns(UserWarning, match="labeled by its sign"):
         assert region_of_itd(2 * DTM, DTM) == 2
     with pytest.warns(UserWarning, match="exceeds delta_tau_max"):
         assert region_of_itd(-2 * DTM, DTM) == 3
@@ -242,6 +243,24 @@ def test_scene_spec_json_round_trip():
     assert SceneSpec.from_json(spec.to_json()) == spec
 
 
+def test_scene_spec_json_rejects_unknown_and_missing_keys():
+    text = SceneSpec(sources=(SceneSource("a", 45.0),), duration=2.0).to_json()
+    obj = json.loads(text)
+    with pytest.raises(TypeError, match="extra"):
+        SceneSpec.from_json(json.dumps({**obj, "extra": 1}))
+    obj["sources"][0]["extra"] = 1
+    with pytest.raises(TypeError, match="extra"):
+        SceneSpec.from_json(json.dumps(obj))
+    del obj["sources"][0]["extra"], obj["sources"][0]["azimuth"]
+    with pytest.raises(TypeError, match="azimuth"):
+        SceneSpec.from_json(json.dumps(obj))
+    # a key with a default (seed, hrir_bank_id, gain) may be left out
+    del obj["seed"], obj["hrir_bank_id"]
+    obj["sources"] = [{"source_id": "a", "azimuth": 45.0}]
+    spec = SceneSpec.from_json(json.dumps(obj))
+    assert spec == SceneSpec(sources=(SceneSource("a", 45.0),), duration=2.0)
+
+
 def test_random_scene_determinism_and_k_range():
     bank = spherical_bank()
     layout = default_layout_r3()
@@ -266,6 +285,41 @@ def test_random_scene_region_uniformity():
     assert total == 4 * n_scenes
     for region in (1, 2, 3):
         assert abs(counts[region] / total - 1 / 3) < 0.02 / 3
+
+
+def _rejection_draw(rng, by_region, num_regions):
+    """Region-first draw by rejection: a uniform id in 1..num_regions,
+    redrawn while it has no members, then a uniform member."""
+    while True:
+        region = 1 + int(rng.integers(num_regions))
+        if by_region.get(region):
+            members = by_region[region]
+            return region, members[int(rng.integers(len(members)))]
+
+
+def test_draw_region_first_equals_rejection_when_every_region_has_members():
+    by_region = {1: ["a", "b", "c"], 2: ["d"], 3: ["e", "f"]}
+    for seed in range(200):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            expected = _rejection_draw(old, by_region, 3)
+            assert draw_region_first(new, by_region) == expected
+        # the same calls: both generators are left in the same state
+        assert new.random() == old.random()
+
+
+def test_draw_region_first_is_uniform_over_populated_regions():
+    rng = np.random.default_rng(0)
+    by_region = {1: ["a", "b"], 2: [], 4: ["c"]}  # 2 is empty, 3 absent
+    n = 30000
+    counts = {}
+    for _ in range(n):
+        draw = draw_region_first(rng, by_region)
+        counts[draw] = counts.get(draw, 0) + 1
+    assert set(counts) == {(1, "a"), (1, "b"), (4, "c")}
+    expected = {(1, "a"): 0.25, (1, "b"): 0.25, (4, "c"): 0.5}
+    for draw, share in expected.items():
+        assert abs(counts[draw] / n - share) < 0.015, draw
 
 
 def _one_pair_bank(left: np.ndarray, right: np.ndarray) -> HrirBank:

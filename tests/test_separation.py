@@ -24,6 +24,7 @@ from regionsep import (
 )
 from regionsep.features import FeatureGrid
 from regionsep.itd_model import REASON_PEAKS_TOO_CLOSE
+from regionsep.separation import REASON_NO_DOMINANT_FRAMES
 from helpers import SR, check_mask_algebra, single_source_scene, two_source_scene
 
 
@@ -186,6 +187,23 @@ def test_two_sources_10_degrees_apart_discarded():
     outcome = separate(mixture, cfg)
     assert isinstance(outcome, Discarded)
     assert outcome.reason == REASON_PEAKS_TOO_CLOSE
+
+
+def test_two_steady_tones_have_no_dominant_frames():
+    # tones at the unaliased bins 16 and 32, 0.8 ms apart in ITD, under one
+    # smooth envelope: the ITDs form two tight peaks, but the second tone
+    # carries four times the first's energy in every frame
+    t = np.arange(4 * SR) / SR
+    envelope = 0.5 - 0.5 * np.cos(np.pi * np.minimum(1.0, np.minimum(t, t[::-1]) / 0.5))
+
+    def tones(delay1: float, delay2: float) -> Waveform:
+        low = 0.1 * np.sin(2 * np.pi * 250.0 * (t - delay1))
+        high = 0.2 * np.sin(2 * np.pi * 500.0 * (t - delay2))
+        return Waveform(envelope * (low + high), SR)
+
+    mixture = BinauralSignal(tones(0.0, 0.0), tones(4e-4, -4e-4))
+    outcome = separate(mixture, SeparationConfig())
+    assert outcome == Discarded(REASON_NO_DOMINANT_FRAMES)
 
 
 def test_input_validation():

@@ -118,6 +118,43 @@ def test_float32_read(tmp_path):
     assert np.allclose(wave.samples, samples.astype(np.float64))
 
 
+def _extensible_wav(tag: int, channels: int, bits: int, payload: bytes) -> bytes:
+    """A WAVE_FORMAT_EXTENSIBLE file whose sub-format GUID starts with ``tag``."""
+    block = channels * bits // 8
+    guid = struct.pack("<H", tag) + bytes.fromhex("000000001000800000aa00389b71")
+    fmt = struct.pack(
+        "<HHIIHHHHI", 0xFFFE, channels, 16000, 16000 * block, block, bits, 22, bits, 0
+    )
+    fmt += guid
+    return b"".join(
+        [
+            b"RIFF",
+            struct.pack("<I", 20 + len(fmt) + len(payload)),
+            b"WAVE",
+            b"fmt ",
+            struct.pack("<I", len(fmt)),
+            fmt,
+            b"data",
+            struct.pack("<I", len(payload)),
+            payload,
+        ]
+    )
+
+
+def test_extensible_format_reads_as_its_sub_format(tmp_path):
+    pcm = np.array([[0, -32768], [32767, 1234], [-5, 6]], dtype="<i2")
+    path = tmp_path / "pcm_ext.wav"
+    path.write_bytes(_extensible_wav(1, 2, 16, pcm.tobytes()))
+    stereo = read_wav(path)
+    assert np.array_equal(stereo.left.samples, pcm[:, 0] / 32768.0)
+    assert np.array_equal(stereo.right.samples, pcm[:, 1] / 32768.0)
+
+    floats = np.array([0.25, -0.5, 0.125], dtype="<f4")
+    path = tmp_path / "f32_ext.wav"
+    path.write_bytes(_extensible_wav(3, 1, 32, floats.tobytes()))
+    assert np.array_equal(read_wav(path).samples, floats.astype(np.float64))
+
+
 def test_truncated_data_chunk_rejected(tmp_path):
     signal = Waveform(np.linspace(-0.5, 0.5, 1000), 16000)
     path = tmp_path / "cut.wav"
