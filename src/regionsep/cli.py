@@ -3,10 +3,12 @@
 Every command is a pure function of its inputs, config, and seed; reruns
 produce checksum-identical output trees. All randomness is split from one
 top-level seed, and --jobs (at least 1) only parallelizes across
-independent scenes or mixtures. The inputs every job shares (source pool,
-HRIR bank, configs) go to each worker process once; a job carries only its
-index and seed. Results are merged in seed order and written as they
-arrive, while the workers keep computing.
+independent scenes, mixtures or training tuples. The inputs every job
+shares (source pool, HRIR bank, configs, record database) go to each worker
+process once; a job carries only its index and seed. ``synth`` writes each
+scene in this process, in seed order, as it arrives; ``dataset``'s workers
+write their own mixtures' WAVs and tuples, and this process writes the
+manifest in seed order and the stats.
 
 Exit codes: 0 success (including discards), 2 config error, 3 I/O error,
 4 internal invariant breach.
@@ -30,9 +32,11 @@ from .dataset import (
     PROVENANCE_SINGLE,
     DirtyBuildStats,
     SourceRecord,
-    build_training_tuples,
-    harvest_mixtures,
+    draw_training_tuple,
+    harvest_mixture,
+    harvest_tasks,
     outcome_records,
+    plan_training_tuples,
 )
 from .hrir import load_hrir_bank
 from .manifest import ManifestEntry, write_manifest
@@ -89,6 +93,8 @@ def _load_params(args) -> dict:
             file_values = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
+        if not isinstance(file_values, dict):
+            raise ConfigError("config file must hold a JSON object")
         unknown = set(file_values) - set(_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -101,6 +107,8 @@ def _load_params(args) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             params[key] = flag
+    if params["seed"] < 0:
+        raise ConfigError(f"--seed must be at least 0, got {params['seed']}")
     return params
 
 
@@ -335,6 +343,34 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _harvest_name(index: int, j: int) -> str:
+    return f"mix{index:05d}_{j}.wav"
+
+
+def _harvest_and_write(shared, task):
+    """Harvest one mixture and write its records' WAVs.
+
+    Returns ``(index, records, discard_reason, samples clipped)``.
+    """
+    pool, bank, cfg, out = shared
+    index, records, discard_reason = harvest_mixture(pool, bank, cfg, *task)
+    clipped = 0
+    for j, rec in enumerate(records):
+        clipped += write_wav(rec.signal, out / _harvest_name(index, j))
+    return index, records, discard_reason, clipped
+
+
+def _tuple_and_write(shared, t: int) -> int:
+    """Draw training tuple ``t`` and write its directory; return the samples clipped."""
+    plan, out = shared
+    tup = draw_training_tuple(plan, t)
+    tdir = out / f"tuple_{t:04d}"
+    clipped = _write_regions(tdir, tup.mixture, tup.references)
+    meta = {"active": list(tup.active), "provenances": list(tup.provenances)}
+    (tdir / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
+    return clipped
+
+
 def cmd_dataset(args) -> int:
     jobs = _check_pool_args(args, "num", "tuples")
     params = _load_params(args)
@@ -354,26 +390,29 @@ def cmd_dataset(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    # each task writes its own WAVs, in a pool worker when jobs > 1; this
+    # process keeps the manifest, the record database and the counts
     seed = params["seed"]
-    results = harvest_mixtures(pool, bank, cfg, args.num, seed, jobs)
+    tasks = harvest_tasks(args.num, seed)
+    results = ordered_map(_harvest_and_write, (pool, bank, cfg, out), tasks, jobs)
     records = []
     stats = DirtyBuildStats()
     clipped = 0  # samples clipped to full scale in every WAV written, tuples too
     with closing(results), open(out / "manifest.jsonl", "w") as manifest:
-        for index, new_records, discard_reason in results:
+        for index, new_records, discard_reason, new_clipped in results:
             stats.add(new_records, discard_reason)
+            clipped += new_clipped
             entries = []
             if discard_reason is not None:
                 entries.append(_discard_entry(discard_reason, f"mix{index:05d}"))
             for j, rec in enumerate(new_records):
-                name = f"mix{index:05d}_{j}.wav"
-                clipped += write_wav(rec.signal, out / name)
-                entries.append(_record_entry(name, rec))
+                entries.append(_record_entry(_harvest_name(index, j), rec))
             manifest.writelines(e.to_json() + "\n" for e in entries)
             records.extend(new_records)
 
+    # the harvest pool is shut down above, so no executor thread runs at this fork
     if args.tuples > 0 and records:
-        tuples = build_training_tuples(
+        plan = plan_training_tuples(
             records,
             default_layout_r3(),
             (args.k_min, args.k_max),
@@ -381,11 +420,9 @@ def cmd_dataset(args) -> int:
             args.tuples,
             seed=seed ^ 0x70B1E5,
         )
-        for t, tup in enumerate(tuples):
-            tdir = out / f"tuple_{t:04d}"
-            clipped += _write_regions(tdir, tup.mixture, tup.references)
-            meta = {"active": list(tup.active), "provenances": list(tup.provenances)}
-            (tdir / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
+        results = ordered_map(_tuple_and_write, (plan, out), range(args.tuples), jobs)
+        with closing(results):
+            clipped += sum(results)
 
     record = {**stats.to_record(), "clipped_samples": clipped}
     (out / "stats.json").write_text(

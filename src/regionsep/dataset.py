@@ -143,10 +143,21 @@ def outcome_records(
 HarvestResult = Tuple[int, List[SourceRecord], Optional[str]]
 
 
-def _harvest_one(shared, task) -> HarvestResult:
-    """Draw mixture ``index``, render it, run stage 1, harvest labeled records."""
-    pool, bank, cfg = shared
-    index, seed_seq = task
+def harvest_tasks(n: int, seed: int) -> List[Tuple[int, np.random.SeedSequence]]:
+    """``(index, seed_seq)`` of each of ``n`` mixtures: child ``index`` of
+    ``SeedSequence(seed)``."""
+    return list(enumerate(np.random.SeedSequence(seed).spawn(n)))
+
+
+def harvest_mixture(
+    pool: Mapping[str, Waveform],
+    bank: HrirBank,
+    cfg: SeparationConfig,
+    index: int,
+    seed_seq: np.random.SeedSequence,
+) -> HarvestResult:
+    """Draw mixture ``index`` from ``seed_seq``, render it, run stage 1 and
+    harvest its labeled records: ``(index, records, discard_reason)``."""
     rng = np.random.default_rng(seed_seq)
     id1, az1, id2, az2 = draw_mixture_params(
         rng, sorted(pool), bank.azimuths, cfg.delta_tau_min, cfg.delta_tau_max
@@ -172,6 +183,10 @@ def _harvest_one(shared, task) -> HarvestResult:
     return index, records, None
 
 
+def _harvest_one(shared, task) -> HarvestResult:
+    return harvest_mixture(*shared, *task)
+
+
 def harvest_mixtures(
     pool: Mapping[str, Waveform],
     bank: HrirBank,
@@ -183,15 +198,13 @@ def harvest_mixtures(
     """Yield ``(index, records, discard_reason)`` for ``n`` seeded mixtures.
 
     Mixture ``i`` draws its pair and azimuths from child ``i`` of
-    ``SeedSequence(seed)``, so results do not depend on ``jobs``. The pair's
-    ITD gap and the region labels use ``cfg``'s head geometry
-    (``delta_tau_min``, ``delta_tau_max``). Results are yielded in index
-    order; with ``jobs > 1`` a process pool computes them, receiving the
-    pool, bank and config once per worker.
+    ``SeedSequence(seed)`` (``harvest_tasks``), so results do not depend on
+    ``jobs``. The pair's ITD gap and the region labels use ``cfg``'s head
+    geometry (``delta_tau_min``, ``delta_tau_max``). Results are yielded in
+    index order; with ``jobs > 1`` a process pool computes them, receiving
+    the pool, bank and config once per worker.
     """
-    shared = (pool, bank, cfg)
-    tasks = enumerate(np.random.SeedSequence(seed).spawn(n))
-    return ordered_map(_harvest_one, shared, tasks, jobs)
+    return ordered_map(_harvest_one, (pool, bank, cfg), harvest_tasks(n, seed), jobs)
 
 
 def build_dirty_sources(
@@ -226,22 +239,30 @@ def build_dirty_sources(
     return records, stats
 
 
-def build_training_tuples(
+@dataclass(frozen=True)
+class TuplePlan:
+    """What every training tuple of one build draws from: the database's
+    records by region, the K range, the clean ratio and one seed child per
+    tuple. Made by ``plan_training_tuples``."""
+
+    by_region: Mapping[int, Sequence[SourceRecord]]
+    num_regions: int
+    k_range: Tuple[int, int]
+    clean_ratio: float
+    sample_rate: int
+    seeds: Tuple[np.random.SeedSequence, ...]
+
+
+def plan_training_tuples(
     db: Sequence[SourceRecord],
     layout: RegionLayout,
     k_range: Tuple[int, int],
     clean_ratio: float,
     m: int,
     seed: int,
-) -> List[TrainingTuple]:
-    """Draw K region-labeled sources per tuple and sum them per region.
-
-    Each drawn dirty source is replaced by its clean original with
-    probability ``clean_ratio`` when one is attached to the record.
-    Each source is drawn region-first (``scenes.draw_region_first``): a
-    uniform region among those with database entries, then a uniform
-    entry of it.
-    """
+) -> TuplePlan:
+    """Check the tuple parameters and index ``db`` by region for ``m``
+    tuples; tuple ``t`` draws from child ``t`` of ``SeedSequence(seed)``."""
     if not db:
         raise ValueError("source database is empty")
     if not 0.0 <= clean_ratio <= 1.0:
@@ -255,33 +276,56 @@ def build_training_tuples(
         if not 1 <= rec.region <= layout.num_regions:
             raise ValueError(f"record region {rec.region} is not in the layout")
         by_region.setdefault(rec.region, []).append(rec)
-    sample_rate = db[0].signal.sample_rate
+    return TuplePlan(
+        by_region=by_region,
+        num_regions=layout.num_regions,
+        k_range=(k_lo, k_hi),
+        clean_ratio=clean_ratio,
+        sample_rate=db[0].signal.sample_rate,
+        seeds=tuple(np.random.SeedSequence(seed).spawn(m)),
+    )
 
-    children = np.random.SeedSequence(seed).spawn(m)
-    tuples: List[TrainingTuple] = []
-    for t in range(m):
-        rng = np.random.default_rng(children[t])
-        k = int(rng.integers(k_lo, k_hi + 1))
 
-        chosen: List[Tuple[int, BinauralSignal, str]] = []
-        for _ in range(k):
-            region, rec = draw_region_first(rng, by_region)
-            use_clean = (
-                rec.clean_signal is not None and rng.random() < clean_ratio
-            )
-            signal = rec.clean_signal if use_clean else rec.signal
-            provenance = PROVENANCE_CLEAN if use_clean else rec.provenance
-            chosen.append((region, signal, provenance))
+def draw_training_tuple(plan: TuplePlan, t: int) -> TrainingTuple:
+    """Tuple ``t`` of ``plan``: K region-labeled sources summed per region.
 
-        length = max(len(sig) for _, sig, _ in chosen)
-        placed = [(region, sig) for region, sig, _ in chosen]
-        summed = sum_regions(placed, layout.num_regions, length, sample_rate)
-        tuples.append(
-            TrainingTuple(
-                mixture=summed.mixture,
-                references=summed.region_signals,
-                active=summed.active,
-                provenances=tuple(p for _, _, p in chosen),
-            )
-        )
-    return tuples
+    Each source is drawn region-first (``scenes.draw_region_first``): a
+    uniform region among those with database entries, then a uniform
+    entry of it. A drawn dirty source is replaced by its clean original
+    with probability ``clean_ratio`` when one is attached to the record.
+    """
+    rng = np.random.default_rng(plan.seeds[t])
+    k_lo, k_hi = plan.k_range
+    k = int(rng.integers(k_lo, k_hi + 1))
+
+    chosen: List[Tuple[int, BinauralSignal, str]] = []
+    for _ in range(k):
+        region, rec = draw_region_first(rng, plan.by_region)
+        use_clean = rec.clean_signal is not None and rng.random() < plan.clean_ratio
+        signal = rec.clean_signal if use_clean else rec.signal
+        provenance = PROVENANCE_CLEAN if use_clean else rec.provenance
+        chosen.append((region, signal, provenance))
+
+    length = max(len(sig) for _, sig, _ in chosen)
+    placed = [(region, sig) for region, sig, _ in chosen]
+    summed = sum_regions(placed, plan.num_regions, length, plan.sample_rate)
+    return TrainingTuple(
+        mixture=summed.mixture,
+        references=summed.region_signals,
+        active=summed.active,
+        provenances=tuple(p for _, _, p in chosen),
+    )
+
+
+def build_training_tuples(
+    db: Sequence[SourceRecord],
+    layout: RegionLayout,
+    k_range: Tuple[int, int],
+    clean_ratio: float,
+    m: int,
+    seed: int,
+) -> List[TrainingTuple]:
+    """The ``m`` tuples of ``plan_training_tuples(db, ...)``, in order
+    (``draw_training_tuple``)."""
+    plan = plan_training_tuples(db, layout, k_range, clean_ratio, m, seed)
+    return [draw_training_tuple(plan, t) for t in range(m)]

@@ -135,6 +135,24 @@ def _em_run(x, mu, sigma, w):
     return comps, final_ll
 
 
+def _quartiles(x: np.ndarray) -> np.ndarray:
+    """The 25th and 75th percentiles of ``x``, bit for bit as
+    ``np.percentile(x, [25, 75])`` (its default linear rule) on finite
+    samples, from a sorted copy. ``np.percentile`` imports ``numpy.ma``,
+    which each fresh pool worker would import again on its first fit."""
+    xs = np.sort(x)
+    last = xs.size - 1
+    out = np.empty(2)
+    for k, q in enumerate((0.25, 0.75)):
+        pos = last * q
+        i = math.floor(pos)
+        t = pos - i
+        a, b = xs[i], xs[min(i + 1, last)]
+        # NumPy's _lerp: interpolate from the nearer end
+        out[k] = b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+    return out
+
+
 def fit_gmm2(
     samples: Sequence[float], settings: EmSettings = EmSettings()
 ) -> Tuple[GaussianComponent, GaussianComponent, float]:
@@ -150,7 +168,7 @@ def fit_gmm2(
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {x.size}")
 
     spread = max(float(np.std(x)), STD_FLOOR)
-    mu0 = np.percentile(x, [25.0, 75.0])
+    mu0 = _quartiles(x)
     sigma0 = np.array([spread / 2.0, spread / 2.0])
     sigma0 = np.maximum(sigma0, STD_FLOOR)
     w0 = np.array([0.5, 0.5])

@@ -1,6 +1,7 @@
 """Command-line interface tests (in-process invocations)."""
 
 import json
+import os
 import pickle
 from collections import Counter
 
@@ -553,3 +554,64 @@ def test_config_file_values_reach_the_command_under_flags(tmp_path):
     flag_over_file = synth("both", "--config", str(config), "--duration", "0.25")
     assert flag_over_file == synth("flags2", "--duration", "0.25", "--seed", "4")
     assert flag_over_file[0] == 0.25
+
+
+def test_negative_seed_exit_2_before_writing(tmp_path, capsys):
+    mixture, *_ = two_source_scene(315.0, 45.0, seed=22, duration=1.0)
+    wav = tmp_path / "mix.wav"
+    write_wav(mixture, wav)
+    for command in (["synth"], ["dataset"], ["separate", str(wav)]):
+        out = tmp_path / command[0]
+        assert main([*command, "--seed", "-1", "--out", str(out)]) == 2, command
+        assert "--seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_config_file_without_a_json_object_exit_2(tmp_path, capsys):
+    for k, text in enumerate(["5", '"abc"', "[1]"]):
+        config = tmp_path / f"config{k}.json"
+        config.write_text(text)
+        out = tmp_path / f"out{k}"
+        assert _synth(out, extra=("--config", str(config))) == 2, text
+        assert "config file must hold a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _dataset(out, jobs, tuples, extra=()):
+    argv = ["dataset", "--out", str(out), "--seed", "7", "--num", "12"]
+    return main(argv + ["--tuples", str(tuples), "--jobs", str(jobs), *extra])
+
+
+@pytest.mark.parametrize("tuples", [7, 1, 0])
+def test_dataset_tree_is_the_same_at_any_jobs(tmp_path, tuples):
+    digests = set()
+    for jobs in (1, 2, 3):
+        out = tmp_path / f"jobs{jobs}"
+        assert _dataset(out, jobs, tuples) == 0
+        assert len(list(out.glob("tuple_*"))) == tuples
+        digests.add(tree_digest(out))
+    assert len(digests) == 1
+
+
+def test_dataset_parent_writes_no_wav_with_a_pool(tmp_path, monkeypatch):
+    parent = os.getpid()
+
+    def worker_only_write_wav(signal, path):
+        if os.getpid() == parent:
+            raise AssertionError(f"the parent wrote {path}")
+        return write_wav(signal, path)
+
+    assert _dataset(tmp_path / "serial", 1, 3) == 0
+    monkeypatch.setattr(cli, "write_wav", worker_only_write_wav)
+    assert _dataset(tmp_path / "pooled", 2, 3) == 0
+    assert tree_digest(tmp_path / "pooled") == tree_digest(tmp_path / "serial")
+    assert len(list((tmp_path / "pooled").glob("tuple_*"))) == 3
+
+
+def test_dataset_write_error_in_a_worker_exit_3(tmp_path, capsys):
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        out.mkdir()
+        (out / "tuple_0000").write_text("in the way")
+        assert _dataset(out, jobs, 3) == 3, jobs
+        assert "I/O error" in capsys.readouterr().err

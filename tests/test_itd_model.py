@@ -1,5 +1,10 @@
 """Gaussian / GMM ITD modeling and verdict tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -204,3 +209,39 @@ def test_em_failure_on_every_restart_discards(monkeypatch):
     verdict = classify_itds(x, SIGMA_TH, DTAU_MIN)
     assert verdict == Discard(REASON_WIDE_SINGLE_BAD_GMM)
     assert len(starts) == 2 * (EM_RESTARTS + 1)
+
+
+def _quartile_cases():
+    rng = np.random.default_rng(23)
+    for n in list(range(10, 40)) + [97, 100, 255, 256, 401, 1000, 1999, 2000]:
+        yield rng.normal(0.0, 3e-4, size=n)  # ITD-sized, all distinct
+        yield rng.integers(-3, 4, size=n) * 1e-4  # many ties
+        yield np.repeat(rng.normal(size=(n + 2) // 3), 3)[:n]  # triplicates
+        yield np.full(n, 2.5e-4)  # all equal
+        yield rng.normal(size=n) * 10.0 ** rng.integers(-12, 3)
+
+
+def test_quartiles_equal_numpy_percentile_bit_for_bit():
+    for x in _quartile_cases():
+        expected = np.percentile(x, [25.0, 75.0])
+        assert itd_model._quartiles(x).tobytes() == expected.tobytes(), x.size
+
+
+def test_fit_gmm2_does_not_import_numpy_ma():
+    # np.percentile imports numpy.ma, a cost every fresh pool worker paid
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from regionsep import fit_gmm2\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "fit_gmm2(np.random.default_rng(0).normal(size=400))\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(itd_model.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False"]
