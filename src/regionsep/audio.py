@@ -39,10 +39,7 @@ class Waveform:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
         object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1:
-            raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        _check_shape_and_rate(samples, self.sample_rate)
         if samples.size and not np.all(np.isfinite(samples)):
             raise ValueError("samples contain NaN or Inf")
 
@@ -52,6 +49,23 @@ class Waveform:
     @property
     def duration(self) -> float:
         return self.samples.size / self.sample_rate
+
+
+def _check_shape_and_rate(samples: np.ndarray, sample_rate: int) -> None:
+    if samples.ndim != 1:
+        raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
+    if sample_rate <= 0:
+        raise ValueError(f"sample_rate must be positive, got {sample_rate}")
+
+
+def _finite_waveform(samples: np.ndarray, sample_rate: int) -> Waveform:
+    """A Waveform of float64 samples that are finite by construction, such as
+    decoded PCM-16: the shape and rate are checked, the samples not scanned."""
+    _check_shape_and_rate(samples, sample_rate)
+    wave = object.__new__(Waveform)
+    object.__setattr__(wave, "samples", samples)
+    object.__setattr__(wave, "sample_rate", sample_rate)
+    return wave
 
 
 @dataclass(frozen=True)
@@ -78,9 +92,6 @@ class BinauralSignal:
     @property
     def sample_rate(self) -> int:
         return self.left.sample_rate
-
-    def swapped(self) -> "BinauralSignal":
-        return BinauralSignal(left=self.right, right=self.left)
 
 
 AnySignal = Union[Waveform, BinauralSignal]
@@ -163,8 +174,11 @@ def read_wav(path) -> AnySignal:
     for c in range(channels):
         samples = interleaved[:, c].astype(np.float64)
         if audio_format == 1:
+            # int16 / 2**15 cannot be NaN or Inf, so only float-32 is scanned
             samples /= PCM16_SCALE
-        waves.append(Waveform(samples, sample_rate))
+            waves.append(_finite_waveform(samples, sample_rate))
+        else:
+            waves.append(Waveform(samples, sample_rate))
     return waves[0] if channels == 1 else BinauralSignal(*waves)
 
 

@@ -203,13 +203,13 @@ def _write_regions(out_dir: Path, mixture, regions) -> int:
 
 def _synth_one(shared, task):
     """Render one random scene. Returns (index, spec, mixture set)."""
-    layout, k_range, duration, pool, bank = shared
+    layout, k_range, duration, pool, bank, memo = shared
     index, seed_seq = task
     scene_seed = int(seed_seq.generate_state(1)[0])
     spec = random_scene(
         k_range, layout, bank, sorted(pool), seed=scene_seed, duration=duration
     )
-    return index, spec, synth_scene(spec, bank, layout, pool)
+    return index, spec, synth_scene(spec, bank, layout, pool, memo)
 
 
 def cmd_synth(args) -> int:
@@ -222,7 +222,10 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
 
     k_range = (args.k_min, args.k_max)
-    shared = (default_layout_r3(), k_range, duration, pool, bank)
+    # the block-spectra memo of this command; each pool worker gets its own
+    # empty copy and fills it as its scenes need
+    memo = {}
+    shared = (default_layout_r3(), k_range, duration, pool, bank, memo)
     root = np.random.SeedSequence(params["seed"])
     tasks = enumerate(root.spawn(args.num_scenes))
     clipped = 0

@@ -81,12 +81,6 @@ def fit_single_gaussian(samples: Sequence[float]) -> GaussianComponent:
     return GaussianComponent(mean=mean, std=std, weight=1.0)
 
 
-def single_gaussian_log_likelihood(samples: Sequence[float]) -> float:
-    c = fit_single_gaussian(samples)
-    x = np.asarray(samples, dtype=np.float64)
-    return float(np.sum(_log_pdf(x, c.mean, c.std)))
-
-
 def _log_pdf(x: np.ndarray, mean: float, std: float) -> np.ndarray:
     z = (x - mean) / std
     return -0.5 * z * z - math.log(std) - 0.5 * math.log(2.0 * math.pi)

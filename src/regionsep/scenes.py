@@ -13,7 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -212,58 +212,113 @@ def _fft_size(taps: int) -> int:
     return n_fft
 
 
-def _overlap_save(
-    x: np.ndarray, h_left: np.ndarray, h_right: np.ndarray, n_out: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The first ``n_out`` samples of ``x`` convolved with each ear's taps.
+def _block_groups(
+    x: np.ndarray, taps: int, n_out: int
+) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """The overlap-save groups of ``x`` for ``taps`` taps and ``n_out``
+    output samples: each group's output span ``[a, b)`` and the ``rfft`` of
+    its blocks.
 
-    Overlap-save: block ``k`` of ``n_fft`` input samples starts ``taps - 1``
-    samples before output sample ``k * step``, and the last ``step`` samples
-    of its circular convolution with a tap set are the linear convolution's
-    samples from ``k * step`` on. Each block is transformed once for both
-    ears. ``RENDER_GROUP_BLOCKS`` blocks at a time are cut from their own
-    zero-padded span of the input (``stft.padded_frames``) and written
-    straight into the outputs.
-    Samples past the full convolution's ``len(x) + taps - 1`` stay zero.
+    Block ``k`` of ``n_fft`` input samples starts ``taps - 1`` samples
+    before output sample ``k * step``, and the last ``step`` samples of its
+    circular convolution with a tap set are the linear convolution's
+    samples from ``k * step`` on. ``RENDER_GROUP_BLOCKS`` blocks at a time
+    are cut from their own zero-padded span of the input
+    (``stft.padded_frames``). The spans stop at the full convolution's
+    ``len(x) + taps - 1`` samples.
     """
-    taps = max(len(h_left), len(h_right))
     n_fft = _fft_size(taps)
     step = n_fft - taps + 1
-    spectra = np.stack(
-        [np.fft.rfft(h_left, n=n_fft), np.fft.rfft(h_right, n=n_fft)]
-    )
-    left, right = np.zeros(n_out), np.zeros(n_out)
     n_valid = min(n_out, len(x) + taps - 1)
     for a in range(0, n_valid, RENDER_GROUP_BLOCKS * step):
         b = min(a + RENDER_GROUP_BLOCKS * step, n_valid)
-        blocks = -(-(b - a) // step)
-        frames = padded_frames(x, a - (taps - 1), blocks, n_fft, step)
-        spectrum = np.fft.rfft(frames, axis=1)
+        frames = padded_frames(x, a - (taps - 1), -(-(b - a) // step), n_fft, step)
+        yield a, b, np.fft.rfft(frames, axis=1)
+
+
+def _overlap_save_add(
+    groups: Iterable[Tuple[int, int, np.ndarray]],
+    h_left: np.ndarray,
+    h_right: np.ndarray,
+    gain: float,
+    left: np.ndarray,
+    right: np.ndarray,
+) -> None:
+    """Add ``gain`` times a source convolved with each ear's taps into
+    ``left`` and ``right``, from the source's ``_block_groups``.
+
+    Each group's blocks are multiplied by both ears' spectra and inverted
+    once; per ear, its kept samples are scaled by ``gain`` and added into
+    ``out[a:b]``. Outputs past the last group are left as they are.
+    """
+    taps = max(len(h_left), len(h_right))
+    n_fft = _fft_size(taps)
+    spectra = np.stack(
+        [np.fft.rfft(h_left, n=n_fft), np.fft.rfft(h_right, n=n_fft)]
+    )
+    for a, b, spectrum in groups:
         y = np.fft.irfft(spectrum[:, None, :] * spectra, n=n_fft, axis=2)
-        left[a:b] = y[:, 0, taps - 1 :].reshape(-1)[: b - a]
-        right[a:b] = y[:, 1, taps - 1 :].reshape(-1)[: b - a]
-    return left, right
+        for ear, out in enumerate((left, right)):
+            out[a:b] += (y[:, ear, taps - 1 :] * gain).reshape(-1)[: b - a]
 
 
-def _render_source(
-    wave: Waveform, bank: HrirBank, azimuth: float, gain: float, n_out: int
-) -> Tuple[BinauralSignal, float]:
-    """Convolve a source with its snapped-azimuth HRIR pair."""
+def _hrir_pair(
+    wave: Waveform, bank: HrirBank, azimuth: float
+) -> Tuple[float, np.ndarray, np.ndarray]:
+    """The snapped azimuth of a source and the taps of its HRIR pair."""
     if wave.sample_rate != bank.sample_rate:
         raise ValueError(
             f"source rate {wave.sample_rate} != bank rate {bank.sample_rate}"
         )
     snapped = bank.nearest_azimuth(azimuth)
     h_left, h_right = bank.entries[snapped]
-    left, right = _overlap_save(wave.samples, h_left.samples, h_right.samples, n_out)
-    left *= gain
-    right *= gain
-    return (
-        BinauralSignal(
-            Waveform(left, bank.sample_rate), Waveform(right, bank.sample_rate)
-        ),
-        snapped,
-    )
+    return snapped, h_left.samples, h_right.samples
+
+
+def _written_zeros(n: int) -> np.ndarray:
+    """``n`` float64 zeros, written now rather than mapped lazily: adding
+    into a lazily zeroed page faults twice (the read maps the shared zero
+    page, the write then copies it), into a written page once."""
+    out = np.empty(n)
+    out.fill(0.0)
+    return out
+
+
+class _RegionSums:
+    """The per-region channel accumulators of one scene or training tuple,
+    and their exact-sum mixture."""
+
+    def __init__(self, num_regions: int, length: int, sample_rate: int):
+        self.length = length
+        self.sample_rate = sample_rate
+        self.regions = [
+            (_written_zeros(length), _written_zeros(length)) for _ in range(num_regions)
+        ]
+        self.active = [False] * num_regions
+
+    def channels(self, region: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The left and right accumulators of 1-based ``region``, which a
+        source is about to be added into, so the region is active."""
+        self.active[region - 1] = True
+        return self.regions[region - 1]
+
+    def mixture_set(self) -> RegionMixtureSet:
+        # the mixture is the exact elementwise sum of the region signals
+        mix_l, mix_r = _written_zeros(self.length), _written_zeros(self.length)
+        for left, right in self.regions:
+            mix_l += left
+            mix_r += right
+
+        def binaural(left: np.ndarray, right: np.ndarray) -> BinauralSignal:
+            return BinauralSignal(
+                Waveform(left, self.sample_rate), Waveform(right, self.sample_rate)
+            )
+
+        return RegionMixtureSet(
+            region_signals=tuple(binaural(*channels) for channels in self.regions),
+            mixture=binaural(mix_l, mix_r),
+            active=tuple(self.active),
+        )
 
 
 def sum_regions(
@@ -278,27 +333,12 @@ def sum_regions(
     source shorter than ``length`` samples is zero-padded at the end; a
     region no source lands in is silent and inactive.
     """
-    regions = [(np.zeros(length), np.zeros(length)) for _ in range(num_regions)]
-    active = [False] * num_regions
+    sums = _RegionSums(num_regions, length, sample_rate)
     for region, sig in placed:
-        left, right = regions[region - 1]
+        left, right = sums.channels(region)
         left[: len(sig)] += sig.left.samples
         right[: len(sig)] += sig.right.samples
-        active[region - 1] = True
-    # the mixture is the exact elementwise sum of the region signals
-    mix_l, mix_r = np.zeros(length), np.zeros(length)
-    for left, right in regions:
-        mix_l += left
-        mix_r += right
-
-    def binaural(left: np.ndarray, right: np.ndarray) -> BinauralSignal:
-        return BinauralSignal(Waveform(left, sample_rate), Waveform(right, sample_rate))
-
-    return RegionMixtureSet(
-        region_signals=tuple(binaural(*channels) for channels in regions),
-        mixture=binaural(mix_l, mix_r),
-        active=tuple(active),
-    )
+    return sums.mixture_set()
 
 
 def synth_scene(
@@ -306,28 +346,48 @@ def synth_scene(
     bank: HrirBank,
     layout: RegionLayout,
     pool: Mapping[str, Waveform],
+    memo: Optional[Dict[Tuple[str, int, int], list]] = None,
 ) -> RegionMixtureSet:
-    """Render every source through its HRIR and sum per region and in total."""
+    """Render every source through its HRIR straight into its region's sum,
+    then sum the regions into the mixture.
+
+    ``memo``, if given, keeps each pool source's block spectra
+    (``_block_groups``) under ``(source id, taps, scene samples)``, so a
+    source placed again reuses them; the caller owns it for one pool. The
+    output bits are the same with or without it.
+    """
     sr = bank.sample_rate
     n_out = int(round(spec.duration * sr))
-
-    def placed():
-        # one source at a time, so each is freed once it has been summed
-        for src in spec.sources:
-            rendered, snapped = _render_source(
-                pool[src.source_id], bank, src.azimuth, src.gain, n_out
-            )
-            yield region_of_azimuth(layout, snapped), rendered
-
-    return sum_regions(placed(), layout.num_regions, n_out, sr)
+    sums = _RegionSums(layout.num_regions, n_out, sr)
+    for src in spec.sources:
+        wave = pool[src.source_id]
+        snapped, h_left, h_right = _hrir_pair(wave, bank, src.azimuth)
+        taps = max(len(h_left), len(h_right))
+        if memo is None:
+            groups = _block_groups(wave.samples, taps, n_out)
+        else:
+            key = (src.source_id, taps, n_out)
+            if key not in memo:
+                memo[key] = list(_block_groups(wave.samples, taps, n_out))
+            groups = memo[key]
+        left, right = sums.channels(region_of_azimuth(layout, snapped))
+        _overlap_save_add(groups, h_left, h_right, src.gain, left, right)
+    return sums.mixture_set()
 
 
 def render_binaural_source(
     wave: Waveform, bank: HrirBank, azimuth: float, duration: float, gain: float = 1.0
 ) -> BinauralSignal:
-    """Single-source convenience wrapper around the scene renderer."""
+    """One source rendered through its snapped-azimuth HRIR pair, a group
+    of blocks at a time."""
     n_out = int(round(duration * bank.sample_rate))
-    return _render_source(wave, bank, azimuth, gain, n_out)[0]
+    _, h_left, h_right = _hrir_pair(wave, bank, azimuth)
+    left, right = _written_zeros(n_out), _written_zeros(n_out)
+    groups = _block_groups(wave.samples, max(len(h_left), len(h_right)), n_out)
+    _overlap_save_add(groups, h_left, h_right, gain, left, right)
+    return BinauralSignal(
+        Waveform(left, bank.sample_rate), Waveform(right, bank.sample_rate)
+    )
 
 
 def draw_region_first(rng: np.random.Generator, by_region: Mapping[int, Sequence]):

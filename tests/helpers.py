@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from functools import lru_cache
 from pathlib import Path
@@ -12,16 +13,24 @@ import numpy as np
 
 from regionsep import (
     BinauralSignal,
+    HrirBank,
     SeparationConfig,
     Waveform,
     compute_features,
+    fit_single_gaussian,
     make_spherical_bank,
     render_binaural_source,
     spherical_itd,
     stft,
 )
+from regionsep.scenes import (
+    RENDER_GROUP_BLOCKS,
+    RegionMixtureSet,
+    _fft_size,
+    region_of_azimuth,
+)
 from regionsep.signals import band_noise_source
-from regionsep.stft import Spectrogram
+from regionsep.stft import Spectrogram, padded_frames
 
 SR = 16000
 DTM = SeparationConfig().delta_tau_max  # seconds
@@ -30,6 +39,20 @@ DTM = SeparationConfig().delta_tau_max  # seconds
 @lru_cache(maxsize=2)
 def spherical_bank(step: float = 5.0):
     return make_spherical_bank(np.arange(0.0, 360.0, step), DTM, SR)
+
+
+def mixed_tap_bank() -> HrirBank:
+    """One entry per region side, each with its own tap count: 256 and 300
+    taps (two FFT lengths) in region 1, 1 tap in region 2, 7 in region 3."""
+    rng = np.random.default_rng(21)
+    taps = {0.0: 256, 90.0: 7, 180.0: 300, 270.0: 1}
+    return HrirBank(
+        entries={
+            az: tuple(Waveform(rng.standard_normal(n) * 0.3, SR) for _ in "lr")
+            for az, n in taps.items()
+        },
+        sample_rate=SR,
+    )
 
 
 def single_source_scene(
@@ -61,6 +84,11 @@ def two_source_scene(
         Waveform(s1.right.samples + s2.right.samples, SR),
     )
     return mixture, s1, s2, spherical_itd(az1, DTM), spherical_itd(az2, DTM)
+
+
+def swap_ears(sig: BinauralSignal) -> BinauralSignal:
+    """The same signal with its left and right channels exchanged."""
+    return BinauralSignal(left=sig.right, right=sig.left)
 
 
 def check_mask_algebra(
@@ -99,7 +127,9 @@ def tree_digest(root) -> str:
 # The codec and the feature stage work in blocks; these are their former
 # whole-array formulas, which the blocked code must equal bit for bit. The
 # renderer's oracle is the direct convolution it replaced; overlap-save
-# sums in another order, so it agrees to rounding.
+# sums in another order, so it agrees to rounding. The scene oracle renders
+# each source whole and sums the regions afterwards, which ``synth_scene``
+# must equal bit for bit.
 
 
 def oracle_write_wav(signal, path) -> int:
@@ -177,3 +207,65 @@ def oracle_render(samples: np.ndarray, taps: np.ndarray, gain: float, n_out: int
     m = min(n_out, y.size)
     out[:m] = y[:m]
     return out
+
+
+def oracle_single_gaussian_log_likelihood(samples) -> float:
+    """Log-likelihood of ``samples`` under their ``fit_single_gaussian`` fit."""
+    c = fit_single_gaussian(samples)
+    z = (np.asarray(samples, dtype=np.float64) - c.mean) / c.std
+    return float(np.sum(-0.5 * z * z - math.log(c.std) - 0.5 * math.log(2.0 * math.pi)))
+
+
+def oracle_overlap_save(x, h_left, h_right, n_out):
+    """Each ear's first ``n_out`` samples of ``x`` convolved with its taps,
+    by the renderer's overlap-save groups, written whole into fresh zeros."""
+    taps = max(len(h_left), len(h_right))
+    n_fft = _fft_size(taps)
+    step = n_fft - taps + 1
+    spectra = np.stack([np.fft.rfft(h_left, n=n_fft), np.fft.rfft(h_right, n=n_fft)])
+    left, right = np.zeros(n_out), np.zeros(n_out)
+    n_valid = min(n_out, len(x) + taps - 1)
+    for a in range(0, n_valid, RENDER_GROUP_BLOCKS * step):
+        b = min(a + RENDER_GROUP_BLOCKS * step, n_valid)
+        frames = padded_frames(x, a - (taps - 1), -(-(b - a) // step), n_fft, step)
+        spectrum = np.fft.rfft(frames, axis=1)
+        y = np.fft.irfft(spectrum[:, None, :] * spectra, n=n_fft, axis=2)
+        left[a:b] = y[:, 0, taps - 1 :].reshape(-1)[: b - a]
+        right[a:b] = y[:, 1, taps - 1 :].reshape(-1)[: b - a]
+    return left, right
+
+
+def oracle_synth_scene(spec, bank, layout, pool) -> RegionMixtureSet:
+    """``synth_scene`` as each source rendered whole and scaled by its gain,
+    then added into its region, then the regions summed into the mixture."""
+    n_out = int(round(spec.duration * bank.sample_rate))
+    regions = [(np.zeros(n_out), np.zeros(n_out)) for _ in range(layout.num_regions)]
+    active = [False] * layout.num_regions
+    for src in spec.sources:
+        snapped = bank.nearest_azimuth(src.azimuth)
+        h_left, h_right = bank.entries[snapped]
+        left, right = oracle_overlap_save(
+            pool[src.source_id].samples, h_left.samples, h_right.samples, n_out
+        )
+        left *= src.gain
+        right *= src.gain
+        region = region_of_azimuth(layout, snapped)
+        region_l, region_r = regions[region - 1]
+        region_l += left
+        region_r += right
+        active[region - 1] = True
+    mix_l, mix_r = np.zeros(n_out), np.zeros(n_out)
+    for left, right in regions:
+        mix_l += left
+        mix_r += right
+
+    def binaural(left, right):
+        return BinauralSignal(
+            Waveform(left, bank.sample_rate), Waveform(right, bank.sample_rate)
+        )
+
+    return RegionMixtureSet(
+        region_signals=tuple(binaural(*channels) for channels in regions),
+        mixture=binaural(mix_l, mix_r),
+        active=tuple(active),
+    )

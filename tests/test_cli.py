@@ -3,6 +3,9 @@
 import json
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 from collections import Counter
 
 import numpy as np
@@ -27,7 +30,7 @@ from regionsep import (
 )
 from regionsep.cli import main
 from regionsep.features import aliasing_bin
-from helpers import DTM, spherical_bank
+from helpers import DTM, SR, mixed_tap_bank, spherical_bank
 from helpers import single_source_scene, tree_digest, two_source_scene
 
 
@@ -68,6 +71,48 @@ def test_synth_outputs_and_determinism(tmp_path):
     ]
     spec = json.loads((scene / "scene.json").read_text())
     assert 2 <= len(spec["sources"]) <= 3
+
+
+def test_synth_tree_with_a_mixed_tap_bank_is_the_same_at_any_jobs(tmp_path):
+    bank = tmp_path / "mixed.hrir"
+    save_hrir_bank(mixed_tap_bank(), bank)
+    digests = []
+    for jobs in (1, 2):
+        out = tmp_path / f"j{jobs}"
+        extra = ("--hrir-bank", str(bank), "--k-max", "5", "--pool-size", "3")
+        assert _synth(out, num=6, jobs=jobs, extra=extra) == 0
+        digests.append(tree_digest(out))
+    assert digests[0] == digests[1]
+
+
+def test_consecutive_synth_commands_write_what_fresh_processes_write(tmp_path):
+    # both pools hold sources of the same names, so anything one command
+    # kept of its pool would show in the other's scenes
+    rng = np.random.default_rng(31)
+    pools = []
+    for name in ("pool_a", "pool_b"):
+        pool = tmp_path / name
+        pool.mkdir()
+        for stem, n in (("x", 9000), ("y", 20000), ("z", 16000)):
+            write_wav(Waveform(rng.uniform(-0.3, 0.3, n), SR), pool / f"{stem}.wav")
+        pools.append(pool)
+    runs = [(5, pools[0]), (6, pools[1])]
+    for k, (seed, pool) in enumerate(runs):
+        assert _synth(tmp_path / f"in{k}", seed=seed, num=4, extra=("--pool", str(pool))) == 0
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for k, (seed, pool) in enumerate(runs):
+        argv = [
+            "synth", "--out", str(tmp_path / f"fresh{k}"), "--seed", str(seed),
+            "--num-scenes", "4", "--duration", "1.0", "--k-min", "2", "--k-max", "3",
+            "--pool", str(pool),
+        ]
+        done = subprocess.run(
+            [sys.executable, "-m", "regionsep.cli", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert tree_digest(tmp_path / f"in{k}") == tree_digest(tmp_path / f"fresh{k}")
 
 
 def test_invalid_config_exit_2(tmp_path, capsys):

@@ -27,8 +27,8 @@ from regionsep.itd_model import (
     REASON_WIDE_SINGLE_BAD_GMM,
     STD_FLOOR,
     EmFailure,
-    single_gaussian_log_likelihood,
 )
+from helpers import oracle_single_gaussian_log_likelihood
 
 SIGMA_TH = 7e-5
 DTAU_MIN = 6e-4
@@ -90,7 +90,7 @@ def test_gmm_nests_single_gaussian():
         rng.normal(1e-4, 5e-5, size=600),
     ):
         _, _, ll = fit_gmm2(x)
-        assert ll >= single_gaussian_log_likelihood(x) - 1e-6
+        assert ll >= oracle_single_gaussian_log_likelihood(x) - 1e-6
 
 
 def test_gmm_shift_scale_equivariance():

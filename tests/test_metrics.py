@@ -16,6 +16,7 @@ from regionsep import (
     snri,
 )
 from regionsep.metrics import LOSS_FLOOR_DB, SNR_CLAMP_DB
+from helpers import swap_ears
 
 
 def test_snr_hand_values():
@@ -176,11 +177,11 @@ def test_evaluate_regions_channel_swap_invariance():
     refs = _demo_refs((True, True, False))
     estimates = [refs.mixture, refs.mixture, _zero_sig(64)]
     swapped_refs = RegionMixtureSet(
-        region_signals=tuple(s.swapped() for s in refs.region_signals),
-        mixture=refs.mixture.swapped(),
+        region_signals=tuple(swap_ears(s) for s in refs.region_signals),
+        mixture=swap_ears(refs.mixture),
         active=refs.active,
     )
-    swapped_est = [e.swapped() for e in estimates]
+    swapped_est = [swap_ears(e) for e in estimates]
     a = evaluate_regions(refs, estimates)
     b = evaluate_regions(swapped_refs, swapped_est)
     assert a.aggregate_db == b.aggregate_db

@@ -27,7 +27,8 @@ from regionsep import (
     synth_spherical_hrir,
 )
 from regionsep.scenes import RENDER_GROUP_BLOCKS, _fft_size, draw_region_first
-from helpers import DTM, SR, oracle_render, spherical_bank
+from helpers import DTM, SR, mixed_tap_bank, oracle_render, oracle_synth_scene
+from helpers import spherical_bank
 
 
 def test_region_of_azimuth_landmarks():
@@ -377,6 +378,80 @@ def test_render_memory_is_the_outputs_plus_a_group():
         tracemalloc.stop()
     outputs = out.left.samples.nbytes + out.right.samples.nbytes
     assert peak <= outputs + 4 * 2**20, (peak, outputs)
+
+
+def _scene_pool():
+    """Sources shorter than, as long as, and longer than a 2 s scene."""
+    rng = np.random.default_rng(22)
+    lengths = {"short": 300, "mid": 20000, "exact": 2 * SR, "long": 50000}
+    return {k: Waveform(rng.standard_normal(n) * 0.1, SR) for k, n in lengths.items()}
+
+
+def _scene_specs(bank):
+    """K = 1 to 6 drawn sources with gains other than 1, one source placed
+    twice, and a scene whose sources all land in one region."""
+    rng = np.random.default_rng(23)
+    ids = sorted(_scene_pool())
+    specs = []
+    for k in range(1, 7):
+        sources = tuple(
+            SceneSource(
+                ids[int(rng.integers(len(ids)))],
+                float(rng.choice(bank.azimuths)),
+                float(rng.choice([1.0, 0.5, 1.7, 0.3])),
+            )
+            for _ in range(k)
+        )
+        specs.append(SceneSpec(sources=sources, duration=2.0))
+    twice = (SceneSource("long", 0.0, 0.8), SceneSource("long", 0.0, 1.3))
+    specs.append(SceneSpec(sources=twice + (SceneSource("short", 90.0),), duration=2.0))
+    one_region = (SceneSource("mid", 90.0), SceneSource("exact", 90.0, 2.5))
+    specs.append(SceneSpec(sources=one_region, duration=2.0))
+    return specs
+
+
+@pytest.mark.parametrize("bank_kind", ["spherical", "mixed_taps"])
+def test_synth_scene_equals_render_then_sum_bit_for_bit(bank_kind):
+    bank = spherical_bank() if bank_kind == "spherical" else mixed_tap_bank()
+    layout = default_layout_r3()
+    pool = _scene_pool()
+    shared_memo = {}
+    specs = _scene_specs(bank)
+    for spec in specs:
+        want = oracle_synth_scene(spec, bank, layout, pool)
+        for memo in (None, {}, shared_memo):
+            got = synth_scene(spec, bank, layout, pool, memo)
+            assert got.active == want.active
+            pairs = zip((*got.region_signals, got.mixture), (*want.region_signals, want.mixture))
+            for g, w in pairs:
+                assert np.array_equal(g.left.samples, w.left.samples)
+                assert np.array_equal(g.right.samples, w.right.samples)
+    assert want.active == (False, False, True)  # the last scene's empty regions
+    # one memo entry per pool source and tap count placed, at the scene length
+    taps = {az: len(left) for az, (left, _) in bank.entries.items()}
+    placed = {
+        (src.source_id, taps[bank.nearest_azimuth(src.azimuth)], 2 * SR)
+        for spec in specs
+        for src in spec.sources
+    }
+    assert set(shared_memo) == placed
+
+
+def test_synth_scene_memory_is_its_outputs_plus_a_group():
+    bank = spherical_bank()
+    rng = np.random.default_rng(24)
+    pool = {k: Waveform(rng.standard_normal(30 * SR) * 0.1, SR) for k in "ab"}
+    sources = (SceneSource("a", 60.0), SceneSource("b", 270.0), SceneSource("a", 0.0, 0.5))
+    spec = SceneSpec(sources=sources, duration=30.0)
+    tracemalloc.start()
+    try:
+        out = synth_scene(spec, bank, default_layout_r3(), pool)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the three regions and the mixture, two channels each
+    outputs = sum(2 * sig.left.samples.nbytes for sig in (*out.region_signals, out.mixture))
+    assert peak <= outputs + 2 * 2**20, (peak, outputs)
 
 
 def test_render_rejects_a_source_at_another_rate():
