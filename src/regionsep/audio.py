@@ -58,9 +58,11 @@ def _check_shape_and_rate(samples: np.ndarray, sample_rate: int) -> None:
         raise ValueError(f"sample_rate must be positive, got {sample_rate}")
 
 
-def _finite_waveform(samples: np.ndarray, sample_rate: int) -> Waveform:
+def finite_waveform(samples: np.ndarray, sample_rate: int) -> Waveform:
     """A Waveform of float64 samples that are finite by construction, such as
-    decoded PCM-16: the shape and rate are checked, the samples not scanned."""
+    decoded PCM-16 or the package's own transforms and sums of finite
+    signals: the shape and rate are checked, the samples not scanned.
+    Build a ``Waveform`` from any other array, which scans it."""
     _check_shape_and_rate(samples, sample_rate)
     wave = object.__new__(Waveform)
     object.__setattr__(wave, "samples", samples)
@@ -176,7 +178,7 @@ def read_wav(path) -> AnySignal:
         if audio_format == 1:
             # int16 / 2**15 cannot be NaN or Inf, so only float-32 is scanned
             samples /= PCM16_SCALE
-            waves.append(_finite_waveform(samples, sample_rate))
+            waves.append(finite_waveform(samples, sample_rate))
         else:
             waves.append(Waveform(samples, sample_rate))
     return waves[0] if channels == 1 else BinauralSignal(*waves)

@@ -313,13 +313,22 @@ def cmd_eval(args) -> int:
     est_root = Path(args.estimates)
     lines = []
     for scene_dir in sorted(p for p in refs_root.iterdir() if p.is_dir()):
-        mixture = _read_binaural(scene_dir / "mixture.wav")
+        mixture_path = scene_dir / "mixture.wav"
+        mixture = _read_binaural(mixture_path)
         region_paths = sorted(scene_dir.glob("region_*.wav"))
+        if not region_paths:
+            raise AudioFormatError(f"{scene_dir} holds no region_N.wav reference")
         refs = []
         estimates = []
         active = []
         for path in region_paths:
             sig = _read_binaural(path)
+            if len(sig) != len(mixture) or sig.sample_rate != mixture.sample_rate:
+                raise AudioFormatError(
+                    f"{mixture_path} has {len(mixture)} samples at "
+                    f"{mixture.sample_rate} Hz, its reference {path.name} "
+                    f"{len(sig)} at {sig.sample_rate} Hz"
+                )
             refs.append(sig)
             active.append(bool(np.any(sig.left.samples) or np.any(sig.right.samples)))
             est_path = est_root / scene_dir.name / path.name
@@ -335,6 +344,10 @@ def cmd_eval(args) -> int:
                     f"its reference at {sig.sample_rate} Hz"
                 )
             estimates.append(estimate)
+        if not any(active):
+            raise AudioFormatError(
+                f"every region_N.wav reference in {scene_dir} is silent"
+            )
         mixture_set = RegionMixtureSet(
             region_signals=tuple(refs), mixture=mixture, active=tuple(active)
         )

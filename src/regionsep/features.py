@@ -116,7 +116,9 @@ def compute_features(
 
     Blocks run on threads when there are several (``parallel.thread_map``).
     Each block fills its rows of arrays allocated here and returns its
-    energy peak; the floor mask follows from the global peak. The results
+    energy peak; the floor mask follows from the global peak. A block peak
+    that is not finite raises ``ValueError``: this is where the bins
+    ``stft_many`` computes, which it does not scan, are checked. The results
     equal a whole-grid computation bit for bit: every elementwise step
     takes whole rows and a block starts a multiple of 256 rows into the
     grid, so each value keeps its lane in NumPy's vector loops. That is
@@ -170,6 +172,12 @@ def compute_features(
         return block.max()
 
     peaks = thread_map(fill, range(0, n_frames, BLOCK_FRAMES), threaded=True)
+    # the spectrograms' one finiteness check: a NaN or Inf bin, or bins
+    # whose energy overflows, makes its block's peak NaN or Inf
+    if not all(np.isfinite(p) for p in peaks):
+        raise ValueError(
+            "spectrogram contains non-finite entries or its energy overflows"
+        )
     peak = max(peaks, default=0.0)
     if peak > 0.0:
         excluded = energy < peak * 10.0 ** (-abs(energy_floor_db) / 10.0)

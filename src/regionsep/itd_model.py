@@ -81,22 +81,25 @@ def fit_single_gaussian(samples: Sequence[float]) -> GaussianComponent:
     return GaussianComponent(mean=mean, std=std, weight=1.0)
 
 
-def _log_pdf(x: np.ndarray, mean: float, std: float) -> np.ndarray:
-    z = (x - mean) / std
-    return -0.5 * z * z - math.log(std) - 0.5 * math.log(2.0 * math.pi)
-
-
 def log_joint(x, mu, sigma, w) -> np.ndarray:
     """Log of weight times density, per component (rows) and sample: what
-    EM fits and what the low-band masks compare."""
-    return np.stack(
-        [math.log(max(w[k], 1e-300)) + _log_pdf(x, mu[k], sigma[k]) for k in (0, 1)]
-    )
+    EM fits and what the low-band masks compare.
+
+    Both rows are built in one broadcast over ``(2, 1)`` columns of the
+    component parameters, with each log constant taken by ``math.log``.
+    """
+    mu = np.asarray(mu, dtype=np.float64).reshape(2, 1)
+    sigma = np.asarray(sigma, dtype=np.float64).reshape(2, 1)
+    log_w = np.array([[math.log(max(w[k], 1e-300))] for k in (0, 1)])
+    log_std = np.array([[math.log(sigma[k, 0])] for k in (0, 1)])
+    z = (x - mu) / sigma
+    return log_w + (-0.5 * z * z - log_std - 0.5 * math.log(2.0 * math.pi))
 
 
 def _em_run(x, mu, sigma, w):
     """One EM run. Returns (components, log_likelihood) or None if degenerate."""
     n = x.size
+    xx = x * x
     prev_ll = -np.inf
     for _ in range(EM_MAX_ITER):
         log_p = log_joint(x, mu, sigma, w)
@@ -109,7 +112,7 @@ def _em_run(x, mu, sigma, w):
             return None
 
         mu = (resp @ x) / mass
-        var = (resp @ (x * x)) / mass - mu * mu
+        var = (resp @ xx) / mass - mu * mu
         sigma = np.maximum(np.sqrt(np.maximum(var, 0.0)), STD_FLOOR)
         w = mass / n
 

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-from .audio import BinauralSignal, Waveform
+from .audio import BinauralSignal, Waveform, finite_waveform
 from .hrir import HrirBank
 from .stft import padded_frames
 
@@ -311,7 +311,8 @@ class _RegionSums:
 
         def binaural(left: np.ndarray, right: np.ndarray) -> BinauralSignal:
             return BinauralSignal(
-                Waveform(left, self.sample_rate), Waveform(right, self.sample_rate)
+                finite_waveform(left, self.sample_rate),
+                finite_waveform(right, self.sample_rate),
             )
 
         return RegionMixtureSet(

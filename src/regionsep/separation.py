@@ -30,7 +30,7 @@ from .itd_model import (
     classify_itds,
     log_joint,
 )
-from .stft import StftConfig, clustering_config, istft_many, stft_many
+from .stft import BLOCK_FRAMES, StftConfig, clustering_config, istft_many, stft_many
 
 REASON_NO_DOMINANT_FRAMES = "no_dominant_frames"
 
@@ -167,13 +167,21 @@ def aliased_frequency_masks(
     ild1 = ild_hi[frames1].mean(axis=0)
     ild2 = ild_hi[frames2].mean(axis=0)
     threshold = 0.5 * (ild1 + ild2)
-
     side1 = np.sign(ild1 - threshold)  # zero when ild1 == ild2 (degenerate)
-    to_first = np.sign(ild_hi - threshold) * side1[None, :] >= 0.0
 
-    include = ~grid.excluded[:, hi]
-    mask1[:, hi] = to_first & include
-    mask2[:, hi] = ~to_first & include
+    # a bin goes to source 1 when sign(ild - threshold) * side1 >= 0; with
+    # side1 in {-1, 0, 1} and a finite difference, the difference times
+    # side1 has the same sign (a zero of either sign passes), so each block
+    # tests that product in place
+    for s in range(0, shape[0], BLOCK_FRAMES):
+        rows = slice(s, s + BLOCK_FRAMES)
+        d = ild_hi[rows] - threshold
+        d *= side1
+        to_first = d >= 0.0
+        include = ~grid.excluded[rows, hi]
+        np.logical_and(to_first, include, out=mask1[rows, hi])
+        np.logical_not(to_first, out=to_first)
+        np.logical_and(to_first, include, out=mask2[rows, hi])
     return mask1, mask2
 
 

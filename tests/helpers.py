@@ -30,7 +30,16 @@ from regionsep.scenes import (
     region_of_azimuth,
 )
 from regionsep.signals import band_noise_source
-from regionsep.stft import Spectrogram, padded_frames
+from regionsep.stft import (
+    BLOCK_FRAMES,
+    WSUM_FLOOR,
+    Spectrogram,
+    _lead_pad,
+    _overlap_add,
+    _synthesis_length,
+    _window,
+    padded_frames,
+)
 
 SR = 16000
 DTM = SeparationConfig().delta_tau_max  # seconds
@@ -124,12 +133,14 @@ def tree_digest(root) -> str:
 
 # ------------------------------------------------- whole-array oracles
 #
-# The codec and the feature stage work in blocks; these are their former
-# whole-array formulas, which the blocked code must equal bit for bit. The
-# renderer's oracle is the direct convolution it replaced; overlap-save
-# sums in another order, so it agrees to rounding. The scene oracle renders
-# each source whole and sums the regions afterwards, which ``synth_scene``
-# must equal bit for bit.
+# The codec, the feature stage, the high-band masks and the squared-window
+# sum work in blocks or periods; these are their former whole-array
+# formulas, which the new code must equal bit for bit. The renderer's
+# oracle is the direct convolution it replaced; overlap-save sums in
+# another order, so it agrees to rounding. The scene oracle renders each
+# source whole and sums the regions afterwards, which ``synth_scene`` must
+# equal bit for bit. The log-density oracle stacks two separately built
+# rows, which the broadcast ``log_joint`` must equal bit for bit.
 
 
 def oracle_write_wav(signal, path) -> int:
@@ -268,4 +279,72 @@ def oracle_synth_scene(spec, bank, layout, pool) -> RegionMixtureSet:
         region_signals=tuple(binaural(*channels) for channels in regions),
         mixture=binaural(mix_l, mix_r),
         active=tuple(active),
+    )
+
+
+def oracle_aliased_frequency_masks(grid, frames1, frames2):
+    """``aliased_frequency_masks`` on the whole high band at once, by the
+    sign product of the ILD's and source 1's offsets from the threshold."""
+    if frames1.size == 0 or frames2.size == 0:
+        raise ValueError("dominant frame sets must be non-empty")
+    shape = grid.ild.shape
+    mask1 = np.zeros(shape, dtype=bool)
+    mask2 = np.zeros(shape, dtype=bool)
+    hi = slice(grid.aliasing_bin, shape[1])
+    if grid.aliasing_bin >= shape[1]:
+        return mask1, mask2
+    ild_hi = grid.ild[:, hi]
+    ild1 = ild_hi[frames1].mean(axis=0)
+    ild2 = ild_hi[frames2].mean(axis=0)
+    threshold = 0.5 * (ild1 + ild2)
+    side1 = np.sign(ild1 - threshold)
+    to_first = np.sign(ild_hi - threshold) * side1[None, :] >= 0.0
+    include = ~grid.excluded[:, hi]
+    mask1[:, hi] = to_first & include
+    mask2[:, hi] = ~to_first & include
+    return mask1, mask2
+
+
+def oracle_window_sum(cfg, n_frames: int, original_length: int) -> np.ndarray:
+    """The squared-window overlap sum over the samples an inversion keeps,
+    overlap-added over every frame."""
+    win = _window(cfg.fft_size)
+    acc = np.zeros(_synthesis_length(cfg, n_frames))
+    _overlap_add(acc, np.broadcast_to(win * win, (n_frames, cfg.fft_size)), cfg.hop)
+    lead = _lead_pad(cfg)
+    out_len = (n_frames - 1) * cfg.hop + cfg.fft_size
+    wsum = acc[lead : lead + min(original_length, out_len - lead)]
+    if np.any(wsum < WSUM_FLOOR):
+        raise ValueError("overlapped squared-window sum underflows the 1e-12 floor")
+    return wsum
+
+
+def oracle_istft(spec, mask=None) -> np.ndarray:
+    """The inverse of ``spec.bins * mask`` with each ``BLOCK_FRAMES`` block
+    masked, inverted and windowed whole, over the full window sum: the
+    summation order ``istft_many`` keeps at every hop."""
+    cfg, n_frames = spec.config, spec.num_frames
+    win = _window(cfg.fft_size)
+    acc = np.zeros(_synthesis_length(cfg, n_frames))
+    for s in range(0, n_frames, BLOCK_FRAMES):
+        e = min(s + BLOCK_FRAMES, n_frames)
+        block = spec.bins[s:e] if mask is None else spec.bins[s:e] * mask[s:e]
+        frames = np.fft.irfft(block, n=cfg.fft_size, axis=1)
+        frames *= win
+        _overlap_add(acc[s * cfg.hop :], frames, cfg.hop)
+    wsum = oracle_window_sum(cfg, n_frames, spec.original_length)
+    lead = _lead_pad(cfg)
+    out = acc[lead : lead + len(wsum)] / wsum
+    return np.concatenate([out, np.zeros(spec.original_length - len(wsum))])
+
+
+def oracle_log_joint(x, mu, sigma, w) -> np.ndarray:
+    """``log_joint`` as two rows, each from scalar parameters, stacked."""
+
+    def log_pdf(mean, std):
+        z = (x - mean) / std
+        return -0.5 * z * z - math.log(std) - 0.5 * math.log(2.0 * math.pi)
+
+    return np.stack(
+        [math.log(max(w[k], 1e-300)) + log_pdf(mu[k], sigma[k]) for k in (0, 1)]
     )

@@ -504,6 +504,61 @@ def test_eval_estimate_length_mismatch_exit_3(tmp_path, capsys):
     assert "I/O error" in err and "region_2.wav has 32000 samples" in err
 
 
+def _eval_malformed_scene(tmp_path, capsys, damage) -> str:
+    """`eval` of one synth scene against itself after ``damage(scene_dir)``;
+    requires exit 3 and returns stderr."""
+    refs = tmp_path / "refs"
+    assert _synth(refs, seed=5, num=1) == 0
+    damage(refs / "scene_0000")
+    argv = ["eval", "--estimates", str(refs), "--references", str(refs)]
+    assert main(argv + ["--out", str(tmp_path / "report.jsonl")]) == 3
+    err = capsys.readouterr().err
+    assert "I/O error" in err and "internal error" not in err
+    return err
+
+
+def test_eval_mixture_of_another_length_or_rate_exit_3(tmp_path, capsys):
+    def shorten(scene):
+        mix = read_wav(scene / "mixture.wav")
+        write_wav(
+            BinauralSignal(
+                Waveform(mix.left.samples[:-100], SR),
+                Waveform(mix.right.samples[:-100], SR),
+            ),
+            scene / "mixture.wav",
+        )
+
+    err = _eval_malformed_scene(tmp_path / "short", capsys, shorten)
+    assert "mixture.wav has 15900 samples" in err and "region_1.wav 16000" in err
+
+    def relabel(scene):
+        mix = read_wav(scene / "mixture.wav")
+        left, right = (Waveform(ch.samples, 8000) for ch in (mix.left, mix.right))
+        write_wav(BinauralSignal(left, right), scene / "mixture.wav")
+
+    err = _eval_malformed_scene(tmp_path / "rate", capsys, relabel)
+    assert "mixture.wav has 16000 samples at 8000 Hz" in err
+
+
+def test_eval_scene_without_regions_exit_3(tmp_path, capsys):
+    def drop_regions(scene):
+        for path in scene.glob("region_*.wav"):
+            path.unlink()
+
+    err = _eval_malformed_scene(tmp_path, capsys, drop_regions)
+    assert "scene_0000 holds no region_N.wav reference" in err
+
+
+def test_eval_scene_of_silent_regions_exit_3(tmp_path, capsys):
+    def silence(scene):
+        for path in [scene / "mixture.wav", *scene.glob("region_*.wav")]:
+            zeros = Waveform(np.zeros(len(read_wav(path))), SR)
+            write_wav(BinauralSignal(zeros, zeros), path)
+
+    err = _eval_malformed_scene(tmp_path, capsys, silence)
+    assert "every region_N.wav reference in" in err and "is silent" in err
+
+
 def test_config_flags_follow_defaults(tmp_path):
     # one flag per config key, typed like its default; --clean-ratio is dataset's
     for command, keys in (

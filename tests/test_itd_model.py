@@ -27,7 +27,9 @@ from regionsep.itd_model import (
     REASON_WIDE_SINGLE_BAD_GMM,
     STD_FLOOR,
     EmFailure,
+    log_joint,
 )
+from helpers import oracle_log_joint
 from helpers import oracle_single_gaussian_log_likelihood
 
 SIGMA_TH = 7e-5
@@ -245,3 +247,32 @@ def test_fit_gmm2_does_not_import_numpy_ma():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 4097, 131_000])
+def test_log_joint_equals_two_stacked_rows(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 3e-4
+    params = [
+        (np.array([-2e-4, 3e-4]), np.array([5e-5, 8e-5]), np.array([0.3, 0.7])),
+        ((-2e-4, 3e-4), (5e-5, 5e-5), (0.5, 0.5)),  # the low-band masks' tuples
+        (np.array([1e-4, 1e-4]), np.array([1e-9, 2e-4]), np.array([0.0, 1.0])),
+    ]
+    for mu, sigma, w in params:
+        got = log_joint(x, mu, sigma, w)
+        want = oracle_log_joint(x, mu, sigma, w)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
+def test_em_fit_is_the_fit_with_the_stacked_log_density(monkeypatch):
+    rng = np.random.default_rng(96)
+    sets = [
+        np.concatenate([rng.normal(-3e-4, 4e-5, 400), rng.normal(2e-4, 6e-5, 900)]),
+        rng.normal(0.0, 2e-4, 2000),  # one wide peak: runs to the iteration cap
+        np.concatenate([rng.normal(0.0, 1e-5, 50), rng.normal(5e-4, 1e-5, 5000)]),
+    ]
+    got = [fit_gmm2(x, EmSettings(seed=k)) for k, x in enumerate(sets)]
+    monkeypatch.setattr(itd_model, "log_joint", oracle_log_joint)
+    want = [fit_gmm2(x, EmSettings(seed=k)) for k, x in enumerate(sets)]
+    assert got == want

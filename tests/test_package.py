@@ -1,6 +1,7 @@
 """Rules that hold across the modules of the package, checked on their source."""
 
 import ast
+import sys
 from pathlib import Path
 
 import regionsep
@@ -56,3 +57,29 @@ def test_no_module_uses_another_modules_private_names():
         for use in _private_uses(path.read_text())
     ]
     assert found == []
+
+
+def _top_level_imports(source: str):
+    """The top-level module names an absolute import of the source names."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def test_the_package_imports_only_numpy_and_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "regionsep"}
+    found = [
+        f"{path.name} line {line}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in _top_level_imports(path.read_text())
+        if name not in allowed
+    ]
+    assert found == []
+
+
+def test_the_import_rule_finds_each_form():
+    source = "import scipy.signal\nfrom numpy import fft\nfrom . import stft\n"
+    assert list(_top_level_imports(source)) == [(1, "scipy"), (2, "numpy")]

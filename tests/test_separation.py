@@ -15,6 +15,7 @@ from regionsep import (
     SeparationConfig,
     Waveform,
     aliased_frequency_masks,
+    compute_features,
     dominance_sets,
     istft,
     low_frequency_masks,
@@ -25,7 +26,13 @@ from regionsep import (
 from regionsep.features import FeatureGrid
 from regionsep.itd_model import REASON_PEAKS_TOO_CLOSE
 from regionsep.separation import REASON_NO_DOMINANT_FRAMES
-from helpers import SR, check_mask_algebra, single_source_scene, two_source_scene
+from helpers import (
+    SR,
+    check_mask_algebra,
+    oracle_aliased_frequency_masks,
+    single_source_scene,
+    two_source_scene,
+)
 
 
 def test_config_validation():
@@ -144,6 +151,78 @@ def test_aliased_masks_respect_exclusion():
     )
     m1, m2 = aliased_frequency_masks(grid, np.array([0]), np.array([1]))
     assert not m1[0, 1] and not m2[0, 1]  # excluded bin stays out of both
+
+
+def _tied_high_band_grid(rng, n_frames, aliasing_bin=36, n_bins=513):
+    """A grid whose ILDs sit on a half-dB lattice. Rows 0, 3, 6, ... hold
+    each column's source-1 value and rows 1, 4, 7, ... its source-2 value,
+    so the dominant-frame means are exact; the other rows hold either
+    value, their exact midpoint (a tie) or another lattice value. A
+    quarter of the columns are degenerate (equal values), a fifth of the
+    bins and every tenth row are excluded."""
+    a = rng.integers(-12, 13, n_bins) / 2.0
+    b = rng.integers(-12, 13, n_bins) / 2.0
+    degenerate = rng.random(n_bins) < 0.25
+    b[degenerate] = a[degenerate]
+    choices = np.stack([a, b, 0.5 * (a + b), rng.integers(-12, 13, n_bins) / 2.0])
+    ild = choices[rng.integers(0, 4, (n_frames, n_bins)), np.arange(n_bins)]
+    ild[0::3] = a
+    ild[1::3] = b
+    excluded = rng.random((n_frames, n_bins)) < 0.2
+    excluded[5::10] = True
+    grid = FeatureGrid(
+        itd_low=np.full((n_frames, min(aliasing_bin, n_bins) - 1), np.nan),
+        ild=ild,
+        energy=np.ones((n_frames, n_bins)),
+        excluded=excluded,
+        aliasing_bin=aliasing_bin,
+    )
+    frames1 = np.arange(0, n_frames, 3)
+    frames2 = np.arange(1, n_frames, 3) if n_frames > 1 else frames1
+    return grid, frames1, frames2
+
+
+@pytest.mark.parametrize("n_frames", [1, 63, 64, 65, 255, 256, 257, 3751])
+def test_blocked_aliased_masks_equal_the_sign_product(n_frames):
+    rng = np.random.default_rng(n_frames)
+    grid, frames1, frames2 = _tied_high_band_grid(rng, n_frames)
+    hi = grid.ild[:, 36:]
+    threshold = 0.5 * (hi[frames1].mean(axis=0) + hi[frames2].mean(axis=0))
+    if n_frames > 2:
+        assert np.any(hi[2::3] == threshold)  # exact ties are exercised
+    got = aliased_frequency_masks(grid, frames1, frames2)
+    want = oracle_aliased_frequency_masks(grid, frames1, frames2)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert not got[0][5::10].any() and not got[1][5::10].any()
+
+
+def test_blocked_aliased_masks_on_real_features_and_an_empty_band():
+    mixture, *_ = two_source_scene(300.0, 60.0, seed=11, duration=20.0)
+    cfg = SeparationConfig()
+    grid = compute_features(
+        stft(mixture.left, cfg.stft), stft(mixture.right, cfg.stft), cfg.f_aliasing
+    )
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        frames1, frames2 = np.sort(rng.choice(grid.ild.shape[0], (2, 40)))
+        got = aliased_frequency_masks(grid, frames1, frames2)
+        want = oracle_aliased_frequency_masks(grid, frames1, frames2)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # no high band: both masks stay empty
+    empty, frames1, frames2 = _tied_high_band_grid(rng, 300, aliasing_bin=513)
+    m1, m2 = aliased_frequency_masks(empty, frames1, frames2)
+    assert not m1.any() and not m2.any()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_separate_rejects_a_recording_whose_transform_overflows():
+    # finite samples whose DC bins overflow to Inf
+    loud = BinauralSignal(
+        Waveform(np.full(40000, 1e306), SR), Waveform(np.full(40000, -1e306), SR)
+    )
+    with pytest.raises(ValueError, match="non-finite"):
+        separate(loud, SeparationConfig())
 
 
 def test_single_source_passthrough():

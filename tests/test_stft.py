@@ -3,12 +3,28 @@
 import numpy as np
 import pytest
 
-from regionsep import Spectrogram, StftConfig, Waveform, clustering_config, istft, stft
-from regionsep.stft import BLOCK_FRAMES, _num_frames, istft_many
+from regionsep import (
+    Spectrogram,
+    StftConfig,
+    Waveform,
+    clustering_config,
+    compute_features,
+    istft,
+    stft,
+)
+from regionsep.stft import (
+    BLOCK_FRAMES,
+    SUB_FRAMES,
+    _num_frames,
+    _window_sum,
+    istft_many,
+)
+from helpers import oracle_istft, oracle_window_sum
 
-# one frame, block edges, and several blocks with a partial last one
-B = BLOCK_FRAMES
-FRAME_COUNTS = (1, B - 1, B, B + 1, 3 * B + 17)
+# one frame, inverse sub-block and block edges, and several blocks with a
+# partial last one
+B, S = BLOCK_FRAMES, SUB_FRAMES
+FRAME_COUNTS = (1, S - 1, S, S + 1, B - 1, B, B + 1, B + S + 1, 3 * B + 17)
 
 
 def _rel_l2(x, y):
@@ -197,3 +213,78 @@ def test_istft_keeps_original_length_beyond_frames():
     back = istft(spec)
     assert len(back) == 5000
     assert np.array_equal(back.samples, _istft_oracle(spec))
+
+
+@pytest.mark.parametrize("hop", [512, 256, 384, 1024])
+def test_sub_blocked_istft_keeps_the_block_summation_order(hop):
+    # sub-blocks are overlap-added a whole block at a time, so the sums of
+    # samples under three or more frames keep their order, bit for bit
+    cfg = StftConfig(fft_size=1024, hop=hop, sample_rate=16000)
+    rng = np.random.default_rng(hop)
+    for n_frames in FRAME_COUNTS[1:]:
+        length = n_frames * hop - 512
+        spec = stft(Waveform(rng.standard_normal(length) * 0.1, 16000), cfg)
+        mask = rng.random(spec.bins.shape) < 0.5
+        got = istft_many([(spec, None), (spec, mask)])
+        assert np.array_equal(got[0].samples, oracle_istft(spec))
+        assert np.array_equal(got[1].samples, oracle_istft(spec, mask))
+
+
+def test_istft_many_of_nothing_is_empty():
+    assert istft_many([]) == []
+    assert istft_many(iter([])) == []
+
+
+@pytest.mark.parametrize("hop", [512, 256, 384, 1024])
+def test_periodic_window_sum_equals_the_full_overlap_add(hop):
+    # the middle of the sum is one period copied across, its ends overlap-
+    # added over the first and last frames; every kept sample must match
+    cfg = StftConfig(fft_size=1024, hop=hop, sample_rate=16000)
+    for n_frames in (1, 2, 5, 11, 12, 13, 63, 64, 65, 255, 256, 257, 3751):
+        full = (n_frames - 1) * hop + 512
+        for length in {1, full // 3, full - hop, full, full + 700}:
+            want = oracle_window_sum(cfg, n_frames, length)
+            got = _window_sum(cfg, n_frames, length)
+            assert np.array_equal(got, want), (n_frames, length)
+
+
+@pytest.mark.parametrize("n_frames", [3, 40, 3751])
+def test_window_sum_floor_still_raises(n_frames):
+    # a 4096-point window's squared edge is about 2e-14: with no overlap,
+    # samples next to each frame boundary fall below the floor
+    cfg = StftConfig(fft_size=4096, hop=4096, sample_rate=16000)
+    length = (n_frames - 1) * 4096 + 2048
+    with pytest.raises(ValueError):
+        oracle_window_sum(cfg, n_frames, length)
+    with pytest.raises(ValueError, match="floor"):
+        _window_sum(cfg, n_frames, length)
+
+
+def _spectrogram_pair(n_frames, seed=0):
+    cfg = clustering_config()
+    rng = np.random.default_rng(seed)
+    length = n_frames * cfg.hop - cfg.fft_size // 2
+    return [stft(Waveform(rng.standard_normal(length) * 0.1, 16000), cfg) for _ in "lr"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("row", [0, B - 1, B, 2 * B + 9])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_features_check_the_bins_stft_does_not_scan(row, bad):
+    # stft_many's spectrograms skip the finiteness scan; compute_features
+    # raises on a NaN or Inf bin in any block, or on bins whose energy
+    # overflows, wherever the block sits among the finite ones
+    spec_l, spec_r = _spectrogram_pair(2 * B + 10)
+    spec_r.bins[row, 7] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        compute_features(spec_l, spec_r, 561.8)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stft_of_an_overflowing_signal_is_caught_by_the_features():
+    cfg = clustering_config()
+    x = Waveform(np.full(8000, 1e306), 16000)
+    spec = stft(x, cfg)
+    assert not np.all(np.isfinite(spec.bins))
+    with pytest.raises(ValueError, match="non-finite"):
+        compute_features(spec, spec, 561.8)
