@@ -4,11 +4,14 @@ Every command is a pure function of its inputs, config, and seed; reruns
 produce checksum-identical output trees. All randomness is split from one
 top-level seed, and --jobs (at least 1) only parallelizes across
 independent scenes, mixtures or training tuples. The inputs every job
-shares (source pool, HRIR bank, configs, record database) go to each worker
-process once; a job carries only its index and seed. ``synth`` writes each
-scene in this process, in seed order, as it arrives; ``dataset``'s workers
-write their own mixtures' WAVs and tuples, and this process writes the
-manifest in seed order and the stats.
+shares (source pool, HRIR bank, configs) go to each worker process once; a
+job carries only its index and seed. ``synth`` writes each scene in this
+process, in seed order, as it arrives. ``dataset``'s harvest workers write
+their own mixtures' WAVs and put the harvested samples in a private sample
+store under ``--out``, returning only each record's labels and location;
+this process writes the manifest in seed order, maps the store once per
+file, and the tuple workers it forks read the records they draw from those
+maps. The store is removed when the command ends.
 
 Exit codes: 0 success (including discards), 2 config error, 3 I/O error,
 4 internal invariant breach.
@@ -22,6 +25,7 @@ import logging
 import math
 import os
 import sys
+import tempfile
 from contextlib import closing
 from pathlib import Path
 
@@ -32,11 +36,14 @@ from .dataset import (
     PROVENANCE_SINGLE,
     DirtyBuildStats,
     SourceRecord,
+    StoredRecord,
     draw_training_tuple,
     harvest_mixture,
     harvest_tasks,
+    load_records,
     outcome_records,
     plan_training_tuples,
+    store_records,
 )
 from .hrir import load_hrir_bank
 from .manifest import ManifestEntry, write_manifest
@@ -291,7 +298,7 @@ def write_mask_text(mask: np.ndarray, path) -> None:
     Path(path).write_bytes(text.tobytes())
 
 
-def _record_entry(name: str, rec: SourceRecord) -> ManifestEntry:
+def _record_entry(name: str, rec: SourceRecord | StoredRecord) -> ManifestEntry:
     """The manifest line of a record written as ``name``."""
     outcome = "passthrough" if rec.provenance == PROVENANCE_SINGLE else "separated"
     return ManifestEntry(name, rec.itd, rec.region, outcome, rec.origin_scene)
@@ -364,16 +371,18 @@ def _harvest_name(index: int, j: int) -> str:
 
 
 def _harvest_and_write(shared, task):
-    """Harvest one mixture and write its records' WAVs.
+    """Harvest one mixture, write its records' WAVs and append their samples
+    to this process's file of the sample store.
 
-    Returns ``(index, records, discard_reason, samples clipped)``.
+    Returns ``(index, stored records, discard_reason, samples clipped)``.
     """
-    pool, bank, cfg, out = shared
+    pool, bank, cfg, out, store = shared
     index, records, discard_reason = harvest_mixture(pool, bank, cfg, *task)
     clipped = 0
     for j, rec in enumerate(records):
         clipped += write_wav(rec.signal, out / _harvest_name(index, j))
-    return index, records, discard_reason, clipped
+    stored = store_records(records, store / f"{os.getpid()}.f64")
+    return index, stored, discard_reason, clipped
 
 
 def _tuple_and_write(shared, t: int) -> int:
@@ -406,45 +415,58 @@ def cmd_dataset(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    # each task writes its own WAVs, in a pool worker when jobs > 1; this
-    # process keeps the manifest, the record database and the counts
+    # each task writes its own WAVs and samples, in a pool worker when
+    # jobs > 1; this process keeps the manifest, the records' labels and
+    # the counts
     seed = params["seed"]
-    tasks = harvest_tasks(args.num, seed)
-    results = ordered_map(_harvest_and_write, (pool, bank, cfg, out), tasks, jobs)
-    records = []
     stats = DirtyBuildStats()
     clipped = 0  # samples clipped to full scale in every WAV written, tuples too
-    with closing(results), open(out / "manifest.jsonl", "w") as manifest:
-        for index, new_records, discard_reason, new_clipped in results:
-            stats.add(new_records, discard_reason)
-            clipped += new_clipped
-            entries = []
-            if discard_reason is not None:
-                entries.append(_discard_entry(discard_reason, f"mix{index:05d}"))
-            for j, rec in enumerate(new_records):
-                entries.append(_record_entry(_harvest_name(index, j), rec))
-            manifest.writelines(e.to_json() + "\n" for e in entries)
-            records.extend(new_records)
-
-    # the harvest pool is shut down above, so no executor thread runs at this fork
-    if args.tuples > 0 and records:
-        plan = plan_training_tuples(
-            records,
-            default_layout_r3(),
-            (args.k_min, args.k_max),
-            clean_ratio,
-            args.tuples,
-            seed=seed ^ 0x70B1E5,
-        )
-        results = ordered_map(_tuple_and_write, (plan, out), range(args.tuples), jobs)
-        with closing(results):
-            clipped += sum(results)
+    with tempfile.TemporaryDirectory(dir=out, prefix=".samples-") as store:
+        store = Path(store)
+        tasks = harvest_tasks(args.num, seed)
+        shared = (pool, bank, cfg, out, store)
+        results = ordered_map(_harvest_and_write, shared, tasks, jobs)
+        stored = []
+        with closing(results), open(out / "manifest.jsonl", "w") as manifest:
+            for index, new_stored, discard_reason, new_clipped in results:
+                stats.add(new_stored, discard_reason)
+                clipped += new_clipped
+                entries = []
+                if discard_reason is not None:
+                    entries.append(_discard_entry(discard_reason, f"mix{index:05d}"))
+                for j, rec in enumerate(new_stored):
+                    entries.append(_record_entry(_harvest_name(index, j), rec))
+                manifest.writelines(e.to_json() + "\n" for e in entries)
+                stored.extend(new_stored)
+        if args.tuples > 0 and stored:
+            clipped += _write_tuples(args, out, clean_ratio, seed, stored, store)
 
     record = {**stats.to_record(), "clipped_samples": clipped}
     (out / "stats.json").write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n"
     )
     return EXIT_OK
+
+
+def _write_tuples(
+    args, out: Path, clean_ratio: float, seed: int, stored: list, store: Path
+) -> int:
+    """Draw and write the training tuples from the stored records, mapped
+    here once per store file; return the samples clipped. The maps close
+    when this returns, before the store is removed."""
+    plan = plan_training_tuples(
+        load_records(stored, store),
+        default_layout_r3(),
+        (args.k_min, args.k_max),
+        clean_ratio,
+        args.tuples,
+        seed=seed ^ 0x70B1E5,
+    )
+    # the harvest pool is shut down, so no executor thread runs at this fork,
+    # and the forked workers inherit the maps
+    results = ordered_map(_tuple_and_write, (plan, out), range(args.tuples), args.jobs)
+    with closing(results):
+        return sum(results)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, keys=_FLAG_KEYS):

@@ -6,6 +6,11 @@ region their ITD implies; (b) synthesize region-wise training tuples
 (per-region references plus their exact-sum mixture) from a harvested
 database, optionally swapping dirty sources for their clean originals at
 a configurable rate.
+
+A harvest that keeps its records out of the calling process puts their
+samples in a sample store (``store_records``): float64 files that only
+their writer appends to, from which ``load_records`` rebuilds the records
+as read-only views.
 """
 
 from __future__ import annotations
@@ -13,11 +18,12 @@ from __future__ import annotations
 import dataclasses
 from contextlib import closing
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .audio import BinauralSignal, Waveform
+from .audio import BinauralSignal, Waveform, finite_waveform
 from .hrir import HrirBank
 from .parallel import ordered_map
 from .scenes import (
@@ -42,6 +48,7 @@ PROVENANCE_SINGLE = "stage1_single"
 PROVENANCE_SEPARATED = "stage1_separated"
 
 _PAIR_DRAW_LIMIT = 1000
+_SAMPLE_BYTES = np.dtype(np.float64).itemsize  # a sample store's element
 
 
 @dataclass(frozen=True)
@@ -237,6 +244,86 @@ def build_dirty_sources(
             if max_duration is not None and harvested_seconds >= max_duration:
                 break
     return records, stats
+
+
+@dataclass(frozen=True)
+class StoredRecord:
+    """A ``SourceRecord`` whose samples are in a sample store file: its
+    labels, and the ``(start, length)`` span of each of its signals.
+
+    A signal's span counts float64 elements of ``file``: its left channel's
+    ``length`` samples from ``start`` on, then its right channel's.
+    ``clean_span`` is None when the record has no clean original.
+    """
+
+    itd: float
+    region: int
+    provenance: str
+    origin_scene: str
+    file: str
+    sample_rate: int
+    signal_span: Tuple[int, int]
+    clean_span: Optional[Tuple[int, int]]
+
+
+def store_records(records: Sequence[SourceRecord], path: Path) -> List[StoredRecord]:
+    """Append the records' samples to the float64 file ``path``; return where
+    each record's are. A signal two records share is written once."""
+    spans: Dict[int, Tuple[int, int]] = {}
+    with open(path, "ab") as f:
+        for rec in records:
+            for sig in (rec.signal, rec.clean_signal):
+                if sig is not None and id(sig) not in spans:
+                    spans[id(sig)] = (f.tell() // _SAMPLE_BYTES, len(sig))
+                    f.write(np.ascontiguousarray(sig.left.samples))
+                    f.write(np.ascontiguousarray(sig.right.samples))
+    return [
+        StoredRecord(
+            rec.itd,
+            rec.region,
+            rec.provenance,
+            rec.origin_scene,
+            path.name,
+            rec.signal.sample_rate,
+            spans[id(rec.signal)],
+            None if rec.clean_signal is None else spans[id(rec.clean_signal)],
+        )
+        for rec in records
+    ]
+
+
+def load_records(stored: Sequence[StoredRecord], store: Path) -> List[SourceRecord]:
+    """The records of ``stored``, their signals read-only views of the store
+    files in directory ``store``, each file mapped once.
+
+    The samples are not scanned again: they were finite when they were
+    stored, and nothing but ``store_records`` writes a store.
+    """
+    maps: Dict[str, np.ndarray] = {}
+    for s in stored:
+        if s.file not in maps:
+            mapped = np.memmap(store / s.file, dtype=np.float64, mode="r")
+            maps[s.file] = mapped.view(np.ndarray)
+
+    def binaural(s: StoredRecord, span: Tuple[int, int]) -> BinauralSignal:
+        start, n = span
+        samples = maps[s.file][start : start + 2 * n]
+        return BinauralSignal(
+            finite_waveform(samples[:n], s.sample_rate),
+            finite_waveform(samples[n:], s.sample_rate),
+        )
+
+    return [
+        SourceRecord(
+            binaural(s, s.signal_span),
+            s.itd,
+            s.region,
+            s.provenance,
+            s.origin_scene,
+            None if s.clean_span is None else binaural(s, s.clean_span),
+        )
+        for s in stored
+    ]
 
 
 @dataclass(frozen=True)

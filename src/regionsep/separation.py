@@ -10,6 +10,7 @@ recordings pass through untouched; everything else is discarded.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
@@ -47,6 +48,9 @@ class SeparationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("sigma_th", "delta_tau_min", "alpha", "energy_floor_db"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.alpha <= 1.0:
             raise ValueError(f"alpha must exceed 1, got {self.alpha}")
         if not 0.0 < self.f_aliasing < self.stft.sample_rate / 2:

@@ -48,10 +48,12 @@ the calling thread and, when an input spans more than one block, fill
 them on one thread per result, up to the usable CPUs
 (``parallel.thread_map``); NumPy's FFTs and ufuncs release the
 interpreter lock. Their results are not scanned for NaN and Inf again:
-a public ``Spectrogram`` or ``Waveform`` is scanned when it is built, but
 the spectrograms ``stft_many`` computes are checked once, by
 ``features.compute_features`` from the energy peak, and the waveforms
-``istft_many`` computes are built with ``audio.finite_waveform``.
+``istft_many`` computes are built with ``audio.finite_waveform``. The
+single-signal ``stft`` and ``istft`` build their results through the
+scanning ``Spectrogram`` and ``Waveform`` constructors, so an input whose
+transform overflows raises ``ValueError`` there.
 """
 
 from __future__ import annotations
@@ -153,8 +155,9 @@ def _num_frames(length: int, cfg: StftConfig) -> int:
 
 
 def stft(x: Waveform, cfg: StftConfig) -> Spectrogram:
+    """The spectrogram of ``x``, scanned: ``ValueError`` if a bin overflows."""
     (spec,) = stft_many([x], cfg)
-    return spec
+    return Spectrogram(spec.bins, cfg, spec.original_length)
 
 
 def stft_many(signals: Sequence[Waveform], cfg: StftConfig) -> List[Spectrogram]:
@@ -288,8 +291,9 @@ def _invert_into(
 
 
 def istft(spec: Spectrogram) -> Waveform:
+    """The waveform of ``spec``, scanned: ``ValueError`` if a sample overflows."""
     (out,) = istft_many([(spec, None)])
-    return out
+    return Waveform(out.samples, out.sample_rate)
 
 
 def istft_many(

@@ -121,13 +121,17 @@ def check_mask_algebra(
 
 
 def tree_digest(root) -> str:
-    """SHA-256 over (relative path, file bytes) of every file under root."""
+    """SHA-256 over the relative path of every directory under root, and
+    (relative path, bytes) of every file, so an empty directory counts."""
     h = hashlib.sha256()
     root = Path(root)
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+    for path in sorted(root.rglob("*")):
         h.update(str(path.relative_to(root)).encode())
-        h.update(b"\x00")
-        h.update(path.read_bytes())
+        if path.is_dir():
+            h.update(b"/\x00")
+        else:
+            h.update(b"\x00")
+            h.update(path.read_bytes())
     return h.hexdigest()
 
 

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from collections import Counter
 
@@ -682,13 +683,19 @@ def _dataset(out, jobs, tuples, extra=()):
     return main(argv + ["--tuples", str(tuples), "--jobs", str(jobs), *extra])
 
 
-@pytest.mark.parametrize("tuples", [7, 1, 0])
-def test_dataset_tree_is_the_same_at_any_jobs(tmp_path, tuples):
+@pytest.mark.parametrize(
+    "tuples, clean_ratio",
+    [(7, None), (1, None), (0, None), (7, "0"), (7, "1")],
+    ids=["7", "1", "0", "7-clean0", "7-clean1"],
+)
+def test_dataset_tree_is_the_same_at_any_jobs(tmp_path, tuples, clean_ratio):
+    extra = () if clean_ratio is None else ("--clean-ratio", clean_ratio)
     digests = set()
     for jobs in (1, 2, 3):
         out = tmp_path / f"jobs{jobs}"
-        assert _dataset(out, jobs, tuples) == 0
+        assert _dataset(out, jobs, tuples, extra) == 0
         assert len(list(out.glob("tuple_*"))) == tuples
+        assert not list(out.glob(".samples-*"))
         digests.add(tree_digest(out))
     assert len(digests) == 1
 
@@ -715,3 +722,80 @@ def test_dataset_write_error_in_a_worker_exit_3(tmp_path, capsys):
         (out / "tuple_0000").write_text("in the way")
         assert _dataset(out, jobs, 3) == 3, jobs
         assert "I/O error" in capsys.readouterr().err
+        assert not list(out.glob(".samples-*")), jobs
+
+
+def test_harvest_results_pickle_small(tmp_path, monkeypatch):
+    # what the harvest pool would send back per mixture, collected without a pool
+    sizes = []
+
+    def recording_pool(fn, shared, tasks, n_workers):
+        for task in tasks:
+            result = fn(shared, task)
+            sizes.append(len(pickle.dumps(result)))
+            yield result
+
+    monkeypatch.setattr(parallel, "_pooled", recording_pool)
+    out = tmp_path / "db"
+    assert _dataset(out, 2, 0) == 0
+    assert json.loads((out / "stats.json").read_text())["n_separated"] > 0
+    assert len(sizes) == 12
+    assert max(sizes) < 4096
+
+
+def _small_dataset(out, num, jobs=1, tuples=4):
+    argv = ["dataset", "--out", str(out), "--seed", "7", "--num", str(num)]
+    argv += ["--tuples", str(tuples), "--jobs", str(jobs)]
+    assert main(argv + ["--duration", "2.0", "--pool-size", "4"]) == 0
+    stats = json.loads((out / "stats.json").read_text())
+    return stats["n_passthrough"] + stats["n_separated"]
+
+
+def test_dataset_memory_does_not_grow_with_num(tmp_path):
+    # the harvested samples stay in the store, out of the traced heap
+    peaks, kept = [], []
+    for num in (8, 24):
+        tracemalloc.start()
+        try:
+            kept.append(_small_dataset(tmp_path / f"num{num}", num))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert kept[1] >= kept[0] + 4
+    assert peaks[1] - peaks[0] <= 2 * 2**20
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="Linux only")
+def test_dataset_open_fds_do_not_depend_on_num(tmp_path, monkeypatch):
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    during = {}
+    tuple_and_write = cli._tuple_and_write
+
+    def counting_tuple_and_write(shared, t):
+        plan, out = shared
+        during.setdefault(out.name, open_fds())
+        assert len(list(out.glob(".samples-*/*.f64"))) == 1
+        return tuple_and_write(shared, t)
+
+    monkeypatch.setattr(cli, "_tuple_and_write", counting_tuple_and_write)
+    before = open_fds()
+    for num in (4, 16):
+        assert _small_dataset(tmp_path / f"num{num}", num) > 0
+        assert open_fds() == before, num
+    # one map of the one store file while the tuples are drawn
+    assert during == {"num4": before + 1, "num16": before + 1}
+
+
+@pytest.mark.parametrize("key", ["sigma_th", "delta_tau_min", "alpha", "energy_floor_db"])
+def test_non_finite_config_value_exit_2_before_writing(tmp_path, capsys, key):
+    flag = "--" + key.replace("_", "-")
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            SeparationConfig(**{key: float(value)})
+        out = tmp_path / value
+        argv = ["dataset", "--num", "6", "--seed", "1", f"{flag}={value}"]
+        assert main(argv + ["--out", str(out)]) == 2, value
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()

@@ -18,6 +18,7 @@ from regionsep.stft import (
     _num_frames,
     _window_sum,
     istft_many,
+    stft_many,
 )
 from helpers import oracle_istft, oracle_window_sum
 
@@ -282,9 +283,21 @@ def test_features_check_the_bins_stft_does_not_scan(row, bad):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_stft_of_an_overflowing_signal_is_caught_by_the_features():
+    # stft_many, separate()'s path, leaves the check to compute_features
     cfg = clustering_config()
     x = Waveform(np.full(8000, 1e306), 16000)
-    spec = stft(x, cfg)
+    (spec,) = stft_many([x], cfg)
     assert not np.all(np.isfinite(spec.bins))
     with pytest.raises(ValueError, match="non-finite"):
         compute_features(spec, spec, 561.8)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stft_and_istft_raise_on_an_overflowing_transform():
+    cfg = clustering_config()
+    with pytest.raises(ValueError, match="non-finite"):
+        stft(Waveform(np.full(8000, 1e306), 16000), cfg)
+    # finite bins whose inverse overflows
+    bins = np.full((_num_frames(8000, cfg), cfg.num_bins), 1e306 + 0j)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        istft(Spectrogram(bins, cfg, 8000))
