@@ -11,9 +11,7 @@ from .dataset import (
     DirtyBuildStats,
     SourceRecord,
     TrainingTuple,
-    build_dirty_sources,
     build_training_tuples,
-    harvest_mixtures,
     outcome_records,
 )
 from .features import FeatureGrid, aliasing_bin, aliasing_frequency, compute_features

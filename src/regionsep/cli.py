@@ -6,12 +6,17 @@ top-level seed, and --jobs (at least 1) only parallelizes across
 independent scenes, mixtures or training tuples. The inputs every job
 shares (source pool, HRIR bank, configs) go to each worker process once; a
 job carries only its index and seed. ``synth`` writes each scene in this
-process, in seed order, as it arrives. ``dataset``'s harvest workers write
-their own mixtures' WAVs and put the harvested samples in a private sample
-store under ``--out``, returning only each record's labels and location;
-this process writes the manifest in seed order, maps the store once per
-file, and the tuple workers it forks read the records they draw from those
-maps. The store is removed when the command ends.
+process, in seed order, as it arrives. ``dataset`` is the one harvest
+loop: its workers run ``dataset.harvest_mixture`` on the tasks of
+``dataset.harvest_tasks``, write their own mixtures' WAVs and return the
+manifest lines, and this process writes the manifest in seed order. When
+tuples follow, the workers also put the harvested samples in a sample store
+(``dataset.store_records``) and return each record's location; the tuple
+workers this process forks read the records they draw from its maps of the
+store (``dataset.load_records``). This module owns only the store's
+directory, a private one under ``--out`` that is removed when the command
+ends; at ``--tuples 0`` there is none. A harvest budget is a smaller
+``--num``: mixture ``i`` is the same at any ``--num``.
 
 Exit codes: 0 success (including discards), 2 config error, 3 I/O error,
 4 internal invariant breach.
@@ -26,7 +31,7 @@ import math
 import os
 import sys
 import tempfile
-from contextlib import closing
+from contextlib import closing, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +41,6 @@ from .dataset import (
     PROVENANCE_SINGLE,
     DirtyBuildStats,
     SourceRecord,
-    StoredRecord,
     draw_training_tuple,
     harvest_mixture,
     harvest_tasks,
@@ -106,8 +110,15 @@ def _load_params(args) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_values.items():
+            kind = type(_DEFAULTS[key])
+            # the conversion would read true as 1 and truncate 3.9 to 3
+            if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()
+            ):
+                got = f"{json.dumps(value)} is not of type {kind.__name__}"
+                raise ConfigError(f"config key {key}: {got}")
             try:
-                params[key] = type(_DEFAULTS[key])(value)
+                params[key] = kind(value)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"config key {key}: {exc}") from exc
     for key in _DEFAULTS:
@@ -298,7 +309,7 @@ def write_mask_text(mask: np.ndarray, path) -> None:
     Path(path).write_bytes(text.tobytes())
 
 
-def _record_entry(name: str, rec: SourceRecord | StoredRecord) -> ManifestEntry:
+def _record_entry(name: str, rec: SourceRecord) -> ManifestEntry:
     """The manifest line of a record written as ``name``."""
     outcome = "passthrough" if rec.provenance == PROVENANCE_SINGLE else "separated"
     return ManifestEntry(name, rec.itd, rec.region, outcome, rec.origin_scene)
@@ -366,23 +377,24 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _harvest_name(index: int, j: int) -> str:
-    return f"mix{index:05d}_{j}.wav"
-
-
 def _harvest_and_write(shared, task):
-    """Harvest one mixture, write its records' WAVs and append their samples
-    to this process's file of the sample store.
+    """Harvest one mixture and write its records' WAVs, and their samples to
+    the sample store when there is one.
 
-    Returns ``(index, stored records, discard_reason, samples clipped)``.
+    Returns ``(the records' manifest entries, discard_reason, stored records,
+    samples clipped)``; without a store there are no stored records.
     """
     pool, bank, cfg, out, store = shared
-    index, records, discard_reason = harvest_mixture(pool, bank, cfg, *task)
+    index = task[0]
+    records, discard_reason = harvest_mixture(pool, bank, cfg, *task)
+    entries = []
     clipped = 0
     for j, rec in enumerate(records):
-        clipped += write_wav(rec.signal, out / _harvest_name(index, j))
-    stored = store_records(records, store / f"{os.getpid()}.f64")
-    return index, stored, discard_reason, clipped
+        name = f"mix{index:05d}_{j}.wav"
+        clipped += write_wav(rec.signal, out / name)
+        entries.append(_record_entry(name, rec))
+    stored = [] if store is None else store_records(records, store)
+    return entries, discard_reason, stored, clipped
 
 
 def _tuple_and_write(shared, t: int) -> int:
@@ -417,28 +429,32 @@ def cmd_dataset(args) -> int:
 
     # each task writes its own WAVs and samples, in a pool worker when
     # jobs > 1; this process keeps the manifest, the records' labels and
-    # the counts
+    # the counts. Only the tuples read the sample store, so without them
+    # there is none.
     seed = params["seed"]
     stats = DirtyBuildStats()
     clipped = 0  # samples clipped to full scale in every WAV written, tuples too
-    with tempfile.TemporaryDirectory(dir=out, prefix=".samples-") as store:
-        store = Path(store)
+    store_dir = (
+        tempfile.TemporaryDirectory(dir=out, prefix=".samples-")
+        if args.tuples > 0
+        else nullcontext()
+    )
+    with store_dir as store:
+        store = None if store is None else Path(store)
         tasks = harvest_tasks(args.num, seed)
         shared = (pool, bank, cfg, out, store)
         results = ordered_map(_harvest_and_write, shared, tasks, jobs)
         stored = []
         with closing(results), open(out / "manifest.jsonl", "w") as manifest:
-            for index, new_stored, discard_reason, new_clipped in results:
-                stats.add(new_stored, discard_reason)
+            for index, result in enumerate(results):
+                entries, discard_reason, new_stored, new_clipped = result
+                stats.add(entries, discard_reason)
                 clipped += new_clipped
-                entries = []
                 if discard_reason is not None:
-                    entries.append(_discard_entry(discard_reason, f"mix{index:05d}"))
-                for j, rec in enumerate(new_stored):
-                    entries.append(_record_entry(_harvest_name(index, j), rec))
+                    entries = [_discard_entry(discard_reason, f"mix{index:05d}")]
                 manifest.writelines(e.to_json() + "\n" for e in entries)
                 stored.extend(new_stored)
-        if args.tuples > 0 and stored:
+        if stored:
             clipped += _write_tuples(args, out, clean_ratio, seed, stored, store)
 
     record = {**stats.to_record(), "clipped_samples": clipped}

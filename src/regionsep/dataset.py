@@ -8,24 +8,24 @@ database, optionally swapping dirty sources for their clean originals at
 a configurable rate.
 
 A harvest that keeps its records out of the calling process puts their
-samples in a sample store (``store_records``): float64 files that only
-their writer appends to, from which ``load_records`` rebuilds the records
-as read-only views.
+samples in a sample store (``store_records``): a directory of float64
+files, one per writing process, that only their writer appends to. Only
+this module knows that layout; ``load_records`` rebuilds the records as
+read-only views, mapping each file once.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from contextlib import closing
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .audio import BinauralSignal, Waveform, finite_waveform
 from .hrir import HrirBank
-from .parallel import ordered_map
 from .scenes import (
     RegionLayout,
     draw_region_first,
@@ -77,8 +77,9 @@ class DirtyBuildStats:
     n_discarded: int = 0
     discard_reasons: Dict[str, int] = field(default_factory=dict)
 
-    def add(self, records: Sequence[SourceRecord], reason: Optional[str]) -> None:
-        """Count one mixture's outcome: a discard reason, or its records."""
+    def add(self, records: Sequence, reason: Optional[str]) -> None:
+        """Count one mixture's outcome: a discard reason, or its records (one
+        item per record, such as the record or its manifest entry)."""
         self.n_mixtures += 1
         if reason is not None:
             self.n_discarded += 1
@@ -147,9 +148,6 @@ def outcome_records(
     ]
 
 
-HarvestResult = Tuple[int, List[SourceRecord], Optional[str]]
-
-
 def harvest_tasks(n: int, seed: int) -> List[Tuple[int, np.random.SeedSequence]]:
     """``(index, seed_seq)`` of each of ``n`` mixtures: child ``index`` of
     ``SeedSequence(seed)``."""
@@ -162,9 +160,14 @@ def harvest_mixture(
     cfg: SeparationConfig,
     index: int,
     seed_seq: np.random.SeedSequence,
-) -> HarvestResult:
+) -> Tuple[List[SourceRecord], Optional[str]]:
     """Draw mixture ``index`` from ``seed_seq``, render it, run stage 1 and
-    harvest its labeled records: ``(index, records, discard_reason)``."""
+    harvest its labeled records: ``(records, discard_reason)``.
+
+    The pair's ITD gap and the region labels use ``cfg``'s head geometry
+    (``delta_tau_min``, ``delta_tau_max``). A separated record carries the
+    rendered source nearest its ITD as its clean original.
+    """
     rng = np.random.default_rng(seed_seq)
     id1, az1, id2, az2 = draw_mixture_params(
         rng, sorted(pool), bank.azimuths, cfg.delta_tau_min, cfg.delta_tau_max
@@ -179,7 +182,7 @@ def harvest_mixture(
 
     outcome = separate(mixture, cfg)
     if isinstance(outcome, Discarded):
-        return index, [], outcome.reason
+        return [], outcome.reason
     records = outcome_records(outcome, f"mix{index:05d}", cfg.delta_tau_max)
     if isinstance(outcome, Separated):
         # the clean original is the rendered source whose model ITD is nearest
@@ -187,63 +190,7 @@ def harvest_mixture(
         for k, rec in enumerate(records):
             nearest = int(np.argmin([abs(rec.itd - t) for t in true_itds]))
             records[k] = dataclasses.replace(rec, clean_signal=(s1, s2)[nearest])
-    return index, records, None
-
-
-def _harvest_one(shared, task) -> HarvestResult:
-    return harvest_mixture(*shared, *task)
-
-
-def harvest_mixtures(
-    pool: Mapping[str, Waveform],
-    bank: HrirBank,
-    cfg: SeparationConfig,
-    n: int,
-    seed: int,
-    jobs: int = 1,
-) -> Iterator[HarvestResult]:
-    """Yield ``(index, records, discard_reason)`` for ``n`` seeded mixtures.
-
-    Mixture ``i`` draws its pair and azimuths from child ``i`` of
-    ``SeedSequence(seed)`` (``harvest_tasks``), so results do not depend on
-    ``jobs``. The pair's ITD gap and the region labels use ``cfg``'s head
-    geometry (``delta_tau_min``, ``delta_tau_max``). Results are yielded in
-    index order; with ``jobs > 1`` a process pool computes them, receiving
-    the pool, bank and config once per worker.
-    """
-    return ordered_map(_harvest_one, (pool, bank, cfg), harvest_tasks(n, seed), jobs)
-
-
-def build_dirty_sources(
-    pool: Mapping[str, Waveform],
-    bank: HrirBank,
-    cfg: SeparationConfig,
-    n: int,
-    seed: int,
-    max_duration: Optional[float] = None,
-    jobs: int = 1,
-) -> Tuple[List[SourceRecord], DirtyBuildStats]:
-    """Mix clean sources pairwise, separate, and harvest labeled outputs.
-
-    ``max_duration`` caps the total seconds of harvested audio (the
-    few-shot "personal data budget" knob); generation stops once reached,
-    at the same record for any ``jobs`` (see ``harvest_mixtures``).
-    """
-    if max_duration is not None and max_duration <= 0:
-        n = 0
-    records: List[SourceRecord] = []
-    stats = DirtyBuildStats()
-    harvested_seconds = 0.0
-    results = harvest_mixtures(pool, bank, cfg, n, seed, jobs)
-    with closing(results):
-        for _, new_records, discard_reason in results:
-            stats.add(new_records, discard_reason)
-            records.extend(new_records)
-            for rec in new_records:
-                harvested_seconds += rec.signal.left.duration
-            if max_duration is not None and harvested_seconds >= max_duration:
-                break
-    return records, stats
+    return records, None
 
 
 @dataclass(frozen=True)
@@ -266,9 +213,13 @@ class StoredRecord:
     clean_span: Optional[Tuple[int, int]]
 
 
-def store_records(records: Sequence[SourceRecord], path: Path) -> List[StoredRecord]:
-    """Append the records' samples to the float64 file ``path``; return where
-    each record's are. A signal two records share is written once."""
+def store_records(
+    records: Sequence[SourceRecord], store_dir: Path
+) -> List[StoredRecord]:
+    """Append the records' samples to this process's float64 file in the
+    sample store ``store_dir``; return where each record's are. A signal two
+    records share is written once."""
+    path = store_dir / f"{os.getpid()}.f64"
     spans: Dict[int, Tuple[int, int]] = {}
     with open(path, "ab") as f:
         for rec in records:
@@ -292,9 +243,11 @@ def store_records(records: Sequence[SourceRecord], path: Path) -> List[StoredRec
     ]
 
 
-def load_records(stored: Sequence[StoredRecord], store: Path) -> List[SourceRecord]:
-    """The records of ``stored``, their signals read-only views of the store
-    files in directory ``store``, each file mapped once.
+def load_records(
+    stored: Sequence[StoredRecord], store_dir: Path
+) -> List[SourceRecord]:
+    """The records of ``stored``, their signals read-only views of the files
+    of the sample store ``store_dir``, each file mapped once.
 
     The samples are not scanned again: they were finite when they were
     stored, and nothing but ``store_records`` writes a store.
@@ -302,7 +255,7 @@ def load_records(stored: Sequence[StoredRecord], store: Path) -> List[SourceReco
     maps: Dict[str, np.ndarray] = {}
     for s in stored:
         if s.file not in maps:
-            mapped = np.memmap(store / s.file, dtype=np.float64, mode="r")
+            mapped = np.memmap(store_dir / s.file, dtype=np.float64, mode="r")
             maps[s.file] = mapped.view(np.ndarray)
 
     def binaural(s: StoredRecord, span: Tuple[int, int]) -> BinauralSignal:

@@ -23,6 +23,7 @@ from regionsep import (
     spherical_itd,
     stft,
 )
+from regionsep.dataset import DirtyBuildStats, harvest_mixture, harvest_tasks
 from regionsep.scenes import (
     RENDER_GROUP_BLOCKS,
     RegionMixtureSet,
@@ -48,6 +49,18 @@ DTM = SeparationConfig().delta_tau_max  # seconds
 @lru_cache(maxsize=2)
 def spherical_bank(step: float = 5.0):
     return make_spherical_bank(np.arange(0.0, 360.0, step), DTM, SR)
+
+
+def harvest(pool, cfg: SeparationConfig, n: int, seed: int):
+    """``(records, stats)`` of ``n`` mixtures harvested in seed order on the
+    spherical bank, as ``regionsep dataset`` harvests them."""
+    bank = spherical_bank()
+    records, stats = [], DirtyBuildStats()
+    for task in harvest_tasks(n, seed):
+        new_records, discard_reason = harvest_mixture(pool, bank, cfg, *task)
+        stats.add(new_records, discard_reason)
+        records.extend(new_records)
+    return records, stats
 
 
 def mixed_tap_bank() -> HrirBank:

@@ -19,7 +19,6 @@ from regionsep import (
     EmSettings,
     SeparationConfig,
     Waveform,
-    build_dirty_sources,
     make_source_pool,
     make_spherical_bank,
     outcome_records,
@@ -30,8 +29,9 @@ from regionsep import (
     write_wav,
 )
 from regionsep.cli import main
+from regionsep.dataset import harvest_mixture, store_records
 from regionsep.features import aliasing_bin
-from helpers import DTM, SR, mixed_tap_bank, spherical_bank
+from helpers import DTM, SR, harvest, mixed_tap_bank
 from helpers import single_source_scene, tree_digest, two_source_scene
 
 
@@ -348,7 +348,7 @@ def test_jobs_below_one_exit_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_dataset_command_matches_build_dirty_sources(tmp_path):
+def test_dataset_command_matches_harvest_mixture(tmp_path):
     seed = 11
     out = tmp_path / "db"
     argv = ["dataset", "--out", str(out), "--seed", str(seed), "--num", "8"]
@@ -358,7 +358,7 @@ def test_dataset_command_matches_build_dirty_sources(tmp_path):
         seed=seed ^ 0x5EED, count=4, duration=2.0, sample_rate=16000
     )
     cfg = SeparationConfig(em=EmSettings(seed=seed), seed=seed)
-    records, stats = build_dirty_sources(pool, spherical_bank(), cfg, n=8, seed=seed)
+    records, stats = harvest(pool, cfg, n=8, seed=seed)
     assert records and stats.n_discarded > 0
 
     written = json.loads((out / "stats.json").read_text())
@@ -614,6 +614,19 @@ def test_bad_duration_and_clean_ratio_exit_2_before_writing(tmp_path, capsys):
         (["synth", "--duration", "0"], f"{fewer} 1 samples"),
         (["synth", "--duration", "nan"], f"{fewer} 1 samples"),
     ]
+    # int() would truncate a fraction and read a boolean as 0 or 1
+    not_of_type = [
+        ("synth", '{"seed": 3.9}', "seed: 3.9 is not of type int"),
+        ("dataset", '{"hop": 256.7}', "hop: 256.7 is not of type int"),
+        ("synth", '{"seed": true}', "seed: true is not of type int"),
+        ("dataset", '{"fft_size": false}', "fft_size: false is not of type int"),
+        ("synth", '{"seed": Infinity}', "seed: Infinity is not of type int"),
+        ("synth", '{"duration": true}', "duration: true is not of type float"),
+    ]
+    for k, (command, text, message) in enumerate(not_of_type):
+        config = tmp_path / f"config{k}.json"
+        config.write_text(text)
+        cases.append(([command, "--config", str(config)], message))
     for k, (argv, message) in enumerate(cases):
         out = tmp_path / f"out{k}"
         small = ["--num", "2"] if argv[0] == "dataset" else ["--num-scenes", "1"]
@@ -741,6 +754,43 @@ def test_harvest_results_pickle_small(tmp_path, monkeypatch):
     assert json.loads((out / "stats.json").read_text())["n_separated"] > 0
     assert len(sizes) == 12
     assert max(sizes) < 4096
+
+
+def test_dataset_without_tuples_makes_no_sample_store(tmp_path, monkeypatch):
+    stores_seen, stored = Counter(), Counter()
+
+    def looking_harvest_mixture(*args):
+        stores_seen.update(p.parent.name for p in tmp_path.glob("*/.samples-*"))
+        return harvest_mixture(*args)
+
+    def counting_store_records(records, store):
+        stored[store.parent.name] += 1
+        return store_records(records, store)
+
+    monkeypatch.setattr(cli, "harvest_mixture", looking_harvest_mixture)
+    monkeypatch.setattr(cli, "store_records", counting_store_records)
+    for tuples in (0, 1):
+        assert _dataset(tmp_path / f"tuples{tuples}", 1, tuples) == 0
+    # only the run with a tuple stores its mixtures' samples
+    assert stored == {"tuples1": 12}
+    assert stores_seen == {"tuples1": 12}
+
+
+def test_a_harvest_budget_is_a_num_prefix(tmp_path):
+    # a smaller --num harvests the first mixtures of a larger one
+    for jobs in (1, 2):
+        small, large = tmp_path / f"num4-jobs{jobs}", tmp_path / f"num8-jobs{jobs}"
+        for out, num in ((small, 4), (large, 8)):
+            argv = ["dataset", "--out", str(out), "--seed", "7", "--num", str(num)]
+            assert main(argv + ["--jobs", str(jobs)]) == 0
+        lines = (small / "manifest.jsonl").read_text().splitlines()
+        more = (large / "manifest.jsonl").read_text().splitlines()
+        assert len(more) > len(lines) > 0
+        assert more[: len(lines)] == lines
+        wavs = sorted(path.name for path in small.glob("mix*.wav"))
+        assert wavs and len(list(large.glob("mix*.wav"))) > len(wavs)
+        for name in wavs:
+            assert (small / name).read_bytes() == (large / name).read_bytes(), name
 
 
 def _small_dataset(out, num, jobs=1, tuples=4):

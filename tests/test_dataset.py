@@ -14,7 +14,6 @@ from regionsep import (
     Separated,
     Waveform,
     SeparationConfig,
-    build_dirty_sources,
     build_training_tuples,
     default_layout_r3,
     outcome_records,
@@ -31,7 +30,7 @@ from regionsep.dataset import (
     draw_mixture_params,
 )
 from regionsep.signals import make_source_pool
-from helpers import DTM, SR, spherical_bank
+from helpers import DTM, SR, harvest, spherical_bank
 
 DTAU_MIN = 6e-4
 
@@ -43,8 +42,7 @@ def pool():
 
 @pytest.fixture(scope="module")
 def harvested(pool):
-    cfg = SeparationConfig()
-    return build_dirty_sources(pool, spherical_bank(), cfg, n=12, seed=9)
+    return harvest(pool, SeparationConfig(), n=12, seed=9)
 
 
 def test_draw_mixture_params_constraints(pool):
@@ -88,7 +86,7 @@ def test_outcome_records_per_outcome():
         assert rec.origin_scene == "mix00003" and rec.clean_signal is None
 
 
-def test_build_dirty_sources_stats_and_labels(harvested):
+def test_harvest_mixture_stats_and_labels(harvested):
     records, stats = harvested
     assert stats.n_mixtures == 12
     assert (
@@ -109,54 +107,14 @@ def test_build_dirty_sources_stats_and_labels(harvested):
     assert record["n_mixtures"] == 12
 
 
-def test_build_dirty_sources_deterministic(pool, harvested):
+def test_harvest_mixture_deterministic(pool, harvested):
     records, stats = harvested
-    again, stats2 = build_dirty_sources(
-        pool, spherical_bank(), SeparationConfig(), n=12, seed=9
-    )
+    again, stats2 = harvest(pool, SeparationConfig(), n=12, seed=9)
     assert stats2.to_record() == stats.to_record()
     assert len(again) == len(records)
     for a, b in zip(records, again):
         assert a.itd == b.itd
         assert np.array_equal(a.signal.left.samples, b.signal.left.samples)
-
-
-def test_max_duration_budget(pool):
-    records, stats = build_dirty_sources(
-        pool,
-        spherical_bank(),
-        SeparationConfig(),
-        n=12,
-        seed=9,
-        max_duration=3.0,
-    )
-    # harvesting stops once the budget is crossed: at most one mixture past it
-    total = sum(r.signal.left.duration for r in records)
-    assert total <= 3.0 + 2 * 2.0
-    assert stats.n_mixtures < 12
-
-
-def test_max_duration_stops_at_same_record_serial_and_pooled(pool):
-    runs = [
-        build_dirty_sources(
-            pool,
-            spherical_bank(),
-            SeparationConfig(),
-            n=12,
-            seed=9,
-            max_duration=3.0,
-            jobs=jobs,
-        )
-        for jobs in (1, 2)
-    ]
-    (serial, serial_stats), (pooled, pooled_stats) = runs
-    assert serial_stats.n_mixtures < 12
-    assert pooled_stats.to_record() == serial_stats.to_record()
-    assert [r.origin_scene for r in pooled] == [r.origin_scene for r in serial]
-    for a, b in zip(serial, pooled):
-        assert a.itd == b.itd and a.region == b.region
-        assert np.array_equal(a.signal.left.samples, b.signal.left.samples)
-        assert np.array_equal(a.signal.right.samples, b.signal.right.samples)
 
 
 def test_dirty_build_stats_add():

@@ -83,3 +83,42 @@ def test_the_package_imports_only_numpy_and_the_standard_library():
 def test_the_import_rule_finds_each_form():
     source = "import scipy.signal\nfrom numpy import fft\nfrom . import stft\n"
     assert list(_top_level_imports(source)) == [(1, "scipy"), (2, "numpy")]
+
+
+def _sample_store_uses(source: str):
+    """Where the source names a sample-store file (a ``".f64"`` string) or
+    maps one (``memmap``)."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and ".f64" in str(node.value):
+            yield f"line {node.lineno}: {node.value!r}"
+        elif isinstance(node, ast.Attribute) and node.attr == "memmap":
+            yield f"line {node.lineno}: .memmap"
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name == "memmap":
+                    yield f"line {node.lineno}: import memmap"
+
+
+def test_the_sample_store_rule_finds_each_form():
+    source = (
+        'name = f"{pid}.f64"\n'
+        "arr = np.memmap(path)\n"
+        "from numpy import memmap\n"
+        'other = "x.f32"\n'
+    )
+    assert sorted(_sample_store_uses(source)) == [
+        "line 1: '.f64'",
+        "line 2: .memmap",
+        "line 3: import memmap",
+    ]
+
+
+def test_only_the_dataset_module_knows_the_sample_store_layout():
+    found = [
+        f"{path.name} {use}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "dataset.py"
+        for use in _sample_store_uses(path.read_text())
+    ]
+    assert found == []
+    assert list(_sample_store_uses((PACKAGE / "dataset.py").read_text()))
