@@ -91,24 +91,34 @@ _DEFAULTS = {
     "clean_ratio": 0.5,
     "duration": 4.0,
 }
-# keys with a flag on every command but eval; only dataset takes --clean-ratio
-_FLAG_KEYS = tuple(key for key in _DEFAULTS if key != "clean_ratio")
+# the config keys each command reads: its flags, and the keys its --config
+# file may hold; a key it does not read keeps its default. eval reads none.
+_COMMAND_KEYS = {
+    "synth": ("delta_tau_max", "sample_rate", "seed", "duration"),
+    "separate": _SEP_KEYS + _STFT_KEYS + ("seed",),
+    "dataset": tuple(_DEFAULTS),
+}
 
 
 def _load_params(args) -> dict:
     """File values under CLI flags under built-in defaults, each typed like
-    its default (the flags are typed so by argparse)."""
+    its default (the flags are typed so by argparse). Only the keys that
+    ``args.command`` reads may come from the file or a flag."""
+    keys = _COMMAND_KEYS[args.command]
     params = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         try:
             file_values = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(file_values) - set(_DEFAULTS)
+        unknown = set(file_values) - set(keys)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(
+                f"unknown config keys: {sorted(unknown)}; "
+                f"{args.command} reads {', '.join(keys)}"
+            )
         for key, value in file_values.items():
             kind = type(_DEFAULTS[key])
             # the conversion would read true as 1 and truncate 3.9 to 3
@@ -121,8 +131,8 @@ def _load_params(args) -> dict:
                 params[key] = kind(value)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"config key {key}: {exc}") from exc
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
+    for key in keys:
+        flag = getattr(args, key)
         if flag is not None:
             params[key] = flag
     if params["seed"] < 0:
@@ -162,6 +172,8 @@ def _check_pool_args(args, *counts: str) -> int:
 def _load_pool(args, params: dict, cfg: SeparationConfig, min_sources: int) -> dict:
     """WAV directory if given, else a seeded synthetic band-noise pool."""
     if getattr(args, "pool", None):
+        if not Path(args.pool).is_dir():
+            raise NotADirectoryError(f"--pool {args.pool} is not a directory")
         pool = {}
         for wav in sorted(Path(args.pool).glob("*.wav")):
             signal = read_wav(wav)
@@ -456,6 +468,13 @@ def cmd_dataset(args) -> int:
                 stored.extend(new_stored)
         if stored:
             clipped += _write_tuples(args, out, clean_ratio, seed, stored, store)
+        elif args.tuples > 0:
+            log.warning(
+                "no record harvested from %d mixtures: wrote none of the "
+                "%d tuples requested",
+                args.num,
+                args.tuples,
+            )
 
     record = {**stats.to_record(), "clipped_samples": clipped}
     (out / "stats.json").write_text(
@@ -485,10 +504,11 @@ def _write_tuples(
         return sum(results)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, keys=_FLAG_KEYS):
-    """--config plus one flag per config key: --delta-tau-max for delta_tau_max."""
+def _add_config_flags(parser: argparse.ArgumentParser, command: str):
+    """--config plus one flag per config key the command reads:
+    --delta-tau-max for delta_tau_max."""
     parser.add_argument("--config", help="JSON config file")
-    for key in keys:
+    for key in _COMMAND_KEYS[command]:
         parser.add_argument("--" + key.replace("_", "-"), type=type(_DEFAULTS[key]))
 
 
@@ -511,14 +531,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="render random binaural scenes")
-    _add_config_flags(p_synth)
+    _add_config_flags(p_synth, "synth")
     p_synth.add_argument("--out", required=True)
     p_synth.add_argument("--num-scenes", type=int, default=10)
     _add_pool_flags(p_synth)
     p_synth.set_defaults(func=cmd_synth)
 
     p_sep = sub.add_parser("separate", help="run selective spatial separation")
-    _add_config_flags(p_sep)
+    _add_config_flags(p_sep, "separate")
     p_sep.add_argument("input", help="stereo WAV file")
     p_sep.add_argument("--out", required=True)
     p_sep.add_argument("--diagnostics", action="store_true")
@@ -531,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_data = sub.add_parser("dataset", help="build dirty sources and tuples")
-    _add_config_flags(p_data, keys=_DEFAULTS)
+    _add_config_flags(p_data, "dataset")
     p_data.add_argument("--out", required=True)
     p_data.add_argument("--num", type=int, default=20)
     p_data.add_argument("--tuples", type=int, default=0)

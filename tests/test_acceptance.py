@@ -393,7 +393,9 @@ def test_criterion_9_cli_determinism(tmp_path):
     sep_digests = []
     for name in ("p1", "p2"):
         out = tmp_path / name
-        _run_cli(["separate", str(wav), "--out", str(out), "--diagnostics"] + common)
+        # separate reads no --duration
+        argv = ["separate", str(wav), "--out", str(out), "--diagnostics", "--seed", "13"]
+        _run_cli(argv)
         sep_digests.append(tree_digest(out))
     assert sep_digests[0] == sep_digests[1]
 

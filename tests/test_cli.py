@@ -1,5 +1,6 @@
 """Command-line interface tests (in-process invocations)."""
 
+import argparse
 import json
 import os
 import pickle
@@ -117,8 +118,14 @@ def test_consecutive_synth_commands_write_what_fresh_processes_write(tmp_path):
 
 
 def test_invalid_config_exit_2(tmp_path, capsys):
-    assert _synth(tmp_path / "x", extra=("--alpha", "0.5")) == 2
-    assert "alpha" in capsys.readouterr().err
+    mixture, *_ = two_source_scene(315.0, 45.0, seed=22, duration=1.0)
+    wav = tmp_path / "mix.wav"
+    write_wav(mixture, wav)
+    for command in (["dataset", "--num", "1"], ["separate", str(wav)]):
+        out = tmp_path / f"alpha_{command[0]}"
+        assert main([*command, "--alpha", "0.5", "--out", str(out)]) == 2, command
+        assert "alpha" in capsys.readouterr().err
+        assert not out.exists()
 
     bad = tmp_path / "bad.json"
     bad.write_text('{"no_such_key": 1}')
@@ -560,13 +567,38 @@ def test_eval_scene_of_silent_regions_exit_3(tmp_path, capsys):
     assert "every region_N.wav reference in" in err and "is silent" in err
 
 
+# the config keys each command reads, and so its only config flags
+COMMAND_KEYS = {
+    "synth": {"delta_tau_max", "sample_rate", "seed", "duration"},
+    "separate": set(cli._DEFAULTS) - {"clean_ratio", "duration"},
+    "dataset": set(cli._DEFAULTS),
+    "eval": set(),
+}
+
+
+def _subparsers() -> dict:
+    """Each command's parser by name."""
+    parser = cli.build_parser()
+    actions = parser._actions
+    return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _config_flags(parser) -> dict:
+    """A command parser's config flags: ``{key: its argparse action}``."""
+    return {a.dest: a for a in parser._actions if a.dest in cli._DEFAULTS}
+
+
 def test_config_flags_follow_defaults(tmp_path):
-    # one flag per config key, typed like its default; --clean-ratio is dataset's
-    for command, keys in (
-        (["dataset"], list(cli._DEFAULTS)),
-        (["synth"], [k for k in cli._DEFAULTS if k != "clean_ratio"]),
-        (["separate", "in.wav"], [k for k in cli._DEFAULTS if k != "clean_ratio"]),
-    ):
+    # each command has one flag per config key it reads, typed like its default
+    parsers = _subparsers()
+    assert set(parsers) == set(COMMAND_KEYS)
+    for command, keys in COMMAND_KEYS.items():
+        flags = _config_flags(parsers[command])
+        assert set(flags) == keys, command
+        for key in keys:
+            assert flags[key].type is type(cli._DEFAULTS[key]), (command, key)
+    for command in (["dataset"], ["synth"], ["separate", "in.wav"]):
+        keys = COMMAND_KEYS[command[0]]
         argv = command + ["--out", "o"]
         for key in keys:
             argv += ["--" + key.replace("_", "-"), str(cli._DEFAULTS[key])]
@@ -574,12 +606,71 @@ def test_config_flags_follow_defaults(tmp_path):
         for key in keys:
             assert getattr(args, key) == cli._DEFAULTS[key]
             assert type(getattr(args, key)) is type(cli._DEFAULTS[key])
+        # a key the command does not read keeps its default
+        assert cli._load_params(args) == cli._DEFAULTS
     # eval reads no config: a config flag is a usage error (exit 2)
     report = ["eval", "--estimates", "e", "--references", "r", "--out", "x"]
     for flag in (["--config", str(tmp_path / "none.json")], ["--alpha", "-3"]):
         with pytest.raises(SystemExit) as exc:
             main(report + flag)
         assert exc.value.code == 2
+
+
+def test_a_key_the_command_does_not_read_exit_2_before_writing(tmp_path, capsys):
+    mixture, *_ = two_source_scene(315.0, 45.0, seed=22, duration=1.0)
+    wav = tmp_path / "mix.wav"
+    write_wav(mixture, wav)
+    commands = {
+        "synth": ["synth", "--num-scenes", "1"],
+        "separate": ["separate", str(wav)],
+        "dataset": ["dataset", "--num", "1"],
+    }
+    for name, command in commands.items():
+        for key in sorted(set(cli._DEFAULTS) - COMMAND_KEYS[name]):
+            value = str(cli._DEFAULTS[key])
+            out = tmp_path / f"{name}-{key}"
+            # its flag is a usage error ...
+            flag = "--" + key.replace("_", "-")
+            with pytest.raises(SystemExit) as exc:
+                main([*command, flag, value, "--out", str(out)])
+            assert exc.value.code == 2, (name, key)
+            assert "unrecognized arguments" in capsys.readouterr().err
+            # ... and its config file key a config error
+            config = tmp_path / f"{name}-{key}.json"
+            config.write_text(json.dumps({key: cli._DEFAULTS[key]}))
+            assert main([*command, "--config", str(config), "--out", str(out)]) == 2
+            assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+            assert not out.exists(), (name, key)
+
+
+def _readme_key_table() -> dict:
+    """README's table of config keys under "CLI usage": ``{command: {key: flag}}``."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text().split("## CLI usage", 1)[1].splitlines()
+
+    def cells(line):
+        return [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+
+    commands = cells(next(line for line in lines if line.startswith("| key |")))[3:]
+    table = {command: {} for command in commands}
+    for row in (line for line in lines if line.startswith("| `")):
+        key, flag, default, *marks = cells(row)
+        assert float(default) == cli._DEFAULTS[key], key
+        for command, mark in zip(commands, marks):
+            if mark:
+                table[command][key] = flag
+    return table
+
+
+def test_readme_key_table_matches_the_parsers():
+    # a config flag added or removed without a docs change fails here
+    table = _readme_key_table()
+    parsers = _subparsers()
+    assert set(table) == set(parsers) - {"eval"}
+    assert not _config_flags(parsers["eval"])
+    for command, keys in table.items():
+        flags = _config_flags(parsers[command])
+        assert keys == {key: a.option_strings[0] for key, a in flags.items()}, command
 
 
 @pytest.mark.parametrize("cols", [1, 2, 513])
@@ -679,6 +770,40 @@ def test_negative_seed_exit_2_before_writing(tmp_path, capsys):
         assert main([*command, "--seed", "-1", "--out", str(out)]) == 2, command
         assert "--seed must be at least 0, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_pool_that_is_not_a_directory_exit_3_before_writing(tmp_path, capsys):
+    a_file = tmp_path / "a.wav"
+    write_wav(Waveform(np.zeros(16000), 16000), a_file)
+    for pool in (tmp_path / "no" / "such" / "dir", a_file):
+        for command in (["synth", "--num-scenes", "1"], ["dataset", "--num", "1"]):
+            out = tmp_path / f"{command[0]}-{pool.name}"
+            assert main([*command, "--pool", str(pool), "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert f"I/O error: --pool {pool} is not a directory" in err, command
+            assert not out.exists()
+
+
+def test_dataset_that_harvests_no_record_warns_of_its_tuples(tmp_path, caplog):
+    caplog.set_level("WARNING", logger="regionsep")
+    # mixture 0 of seed 0 is discarded (components_too_wide)
+    for num in ("1", "0"):
+        out = tmp_path / f"num{num}"
+        argv = ["dataset", "--num", num, "--tuples", "3", "--seed", "0"]
+        assert main(argv + ["--out", str(out)]) == 0
+        stats = json.loads((out / "stats.json").read_text())
+        assert stats["n_discarded"] == stats["n_mixtures"] == int(num)
+        assert not list(out.glob("tuple_*"))
+        warned = [r for r in caplog.records if r.name == "regionsep"]
+        assert [r.levelname for r in warned] == ["WARNING"]
+        assert warned[0].getMessage() == (
+            f"no record harvested from {num} mixtures: "
+            "wrote none of the 3 tuples requested"
+        )
+        caplog.clear()
+    # without tuples requested there is nothing to warn of
+    assert main(["dataset", "--num", "1", "--out", str(tmp_path / "t0")]) == 0
+    assert not [r for r in caplog.records if r.name == "regionsep"]
 
 
 def test_config_file_without_a_json_object_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Selective spatial separation pipeline tests."""
 
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from helpers import (
     check_mask_algebra,
     oracle_aliased_frequency_masks,
     single_source_scene,
+    swap_ears,
     two_source_scene,
 )
 
@@ -358,3 +360,79 @@ def test_separate_traced_memory_per_input_second():
         tracemalloc.stop()
     assert isinstance(outcome, Separated)
     assert peak / 1e6 / seconds <= 2.0
+
+
+# Metamorphic properties of separate() on 12 seeded 4 s mixtures: 11
+# two-source scenes at seeded azimuths and one single source. A power-of-2
+# gain scales every output exactly; swapping the ears swaps the sources and
+# masks, mirrors each source's channels and negates the ITDs.
+N_METAMORPHIC = 12
+
+
+@lru_cache(maxsize=None)
+def _metamorphic_case(k: int):
+    """Mixture ``k`` and its outcome at the default config."""
+    if k == N_METAMORPHIC - 1:
+        mixture = single_source_scene(40.0, seed=101)[0]
+    else:
+        azimuths = np.random.default_rng(16).uniform(0.0, 360.0, (N_METAMORPHIC - 1, 2))
+        az1, az2 = azimuths[k]
+        mixture = two_source_scene(az1, az2, seed=600 + k)[0]
+    return mixture, separate(mixture, SeparationConfig())
+
+
+def _channels(sig: BinauralSignal):
+    return sig.left.samples, sig.right.samples
+
+
+def _same_kind(outcome, other):
+    assert type(other) is type(outcome)
+    if isinstance(outcome, Discarded):
+        assert other.reason == outcome.reason
+
+
+def test_metamorphic_cases_cover_every_outcome():
+    kinds = {type(_metamorphic_case(k)[1]) for k in range(N_METAMORPHIC)}
+    assert kinds == {Separated, Passthrough, Discarded}
+
+
+@pytest.mark.parametrize("k", range(N_METAMORPHIC))
+@pytest.mark.parametrize("exponent", [1, -2])
+def test_a_power_of_two_gain_scales_every_output_exactly(k, exponent):
+    mixture, outcome = _metamorphic_case(k)
+    gain = 2.0**exponent
+    scaled_input = BinauralSignal(*(Waveform(x * gain, SR) for x in _channels(mixture)))
+    scaled = separate(scaled_input, SeparationConfig())
+    _same_kind(outcome, scaled)
+    if isinstance(outcome, Passthrough):
+        assert scaled.itd == outcome.itd
+        assert scaled.signal is scaled_input
+    elif isinstance(outcome, Separated):
+        assert (scaled.itd1, scaled.itd2) == (outcome.itd1, outcome.itd2)
+        assert scaled.final_alpha == outcome.final_alpha
+        for got, want in zip(scaled.masks, outcome.masks):
+            assert np.array_equal(got, want)
+        pairs = ((scaled.source1, outcome.source1), (scaled.source2, outcome.source2))
+        for got, want in pairs:
+            for x, y in zip(_channels(got), _channels(want)):
+                assert np.array_equal(x, y * gain)
+
+
+@pytest.mark.parametrize("k", range(N_METAMORPHIC))
+def test_an_ear_swap_mirrors_every_output(k):
+    mixture, outcome = _metamorphic_case(k)
+    swapped = swap_ears(mixture)
+    mirrored = separate(swapped, SeparationConfig())
+    _same_kind(outcome, mirrored)
+    if isinstance(outcome, Passthrough):
+        assert mirrored.itd == pytest.approx(-outcome.itd, rel=1e-12, abs=0.0)
+        assert mirrored.signal is swapped
+    elif isinstance(outcome, Separated):
+        # the components are ordered by ITD, so the two sources swap places
+        assert mirrored.itd1 == pytest.approx(-outcome.itd2, rel=1e-12, abs=0.0)
+        assert mirrored.itd2 == pytest.approx(-outcome.itd1, rel=1e-12, abs=0.0)
+        assert np.array_equal(mirrored.masks[0], outcome.masks[1])
+        assert np.array_equal(mirrored.masks[1], outcome.masks[0])
+        sources = (outcome.source1, outcome.source2)
+        for got, want in zip((mirrored.source2, mirrored.source1), sources):
+            assert all(map(np.array_equal, _channels(got), _channels(swap_ears(want))))
