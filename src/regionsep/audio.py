@@ -127,10 +127,19 @@ def read_wav(path) -> AnySignal:
     """Read a PCM-16 or float-32 WAV file.
 
     Mono files yield a Waveform; stereo files yield a BinauralSignal with
-    channel 0 as the left ear. PCM samples are normalized by 32768.
+    channel 0 as the left ear. PCM samples are normalized by 32768. Any
+    malformed file, a rate of 0 or a NaN sample too, raises
+    ``AudioFormatError`` naming ``path``.
     """
     data = Path(path).read_bytes()
-    chunks, truncated = _parse_riff_chunks(memoryview(data))
+    try:
+        return _decode_wav(memoryview(data))
+    except ValueError as exc:
+        raise AudioFormatError(f"{path}: {exc}") from exc
+
+
+def _decode_wav(data: memoryview) -> AnySignal:
+    chunks, truncated = _parse_riff_chunks(data)
     if truncated is not None:
         cid, size = truncated
         # a cut-off trailing metadata chunk loses no audio; a cut fmt or

@@ -1,22 +1,21 @@
 """Command-line pipeline: scene synthesis, separation, evaluation, datasets.
 
 Every command is a pure function of its inputs, config, and seed; reruns
-produce checksum-identical output trees. All randomness is split from one
-top-level seed, and --jobs (at least 1) only parallelizes across
-independent scenes, mixtures or training tuples. The inputs every job
-shares (source pool, HRIR bank, configs) go to each worker process once; a
-job carries only its index and seed. ``synth`` writes each scene in this
-process, in seed order, as it arrives. ``dataset`` is the one harvest
-loop: its workers run ``dataset.harvest_mixture`` on the tasks of
-``dataset.harvest_tasks``, write their own mixtures' WAVs and return the
-manifest lines, and this process writes the manifest in seed order. When
-tuples follow, the workers also put the harvested samples in a sample store
+produce checksum-identical output trees. ``synth``'s scenes, ``dataset``'s
+mixtures and its training tuples are each one ``parallel.seeded_tasks``
+list that ``parallel.ordered_map`` runs, in --jobs worker processes (at
+least 1). The inputs every task shares (source pool, HRIR bank, configs)
+go to each worker once; a task carries its index and seed child, writes
+its own item (a scene directory, a mixture's WAVs, a tuple directory) and
+returns its counts and manifest lines. Of their output, this process
+writes only ``manifest.jsonl`` and ``stats.json``, in seed order. Item
+``i`` is the same at any count, so a harvest budget is a smaller ``--num``.
+When tuples follow, the harvest tasks also put their samples in a store
 (``dataset.store_records``) and return each record's location; the tuple
 workers this process forks read the records they draw from its maps of the
 store (``dataset.load_records``). This module owns only the store's
 directory, a private one under ``--out`` that is removed when the command
-ends; at ``--tuples 0`` there is none. A harvest budget is a smaller
-``--num``: mixture ``i`` is the same at any ``--num``.
+ends; at ``--tuples 0`` there is none.
 
 Exit codes: 0 success (including discards), 2 config error, 3 I/O error,
 4 internal invariant breach.
@@ -40,10 +39,8 @@ from .audio import AudioFormatError, BinauralSignal, read_wav, write_wav
 from .dataset import (
     PROVENANCE_SINGLE,
     DirtyBuildStats,
-    SourceRecord,
     draw_training_tuple,
     harvest_mixture,
-    harvest_tasks,
     load_records,
     outcome_records,
     plan_training_tuples,
@@ -52,7 +49,7 @@ from .dataset import (
 from .hrir import load_hrir_bank
 from .manifest import ManifestEntry, write_manifest
 from .metrics import evaluate_regions
-from .parallel import ordered_map
+from .parallel import ordered_map, seeded_tasks
 from .scenes import (
     RegionMixtureSet,
     default_layout_r3,
@@ -222,24 +219,30 @@ def _load_bank(args, cfg: SeparationConfig):
     )
 
 
-def _write_regions(out_dir: Path, mixture, regions) -> int:
-    """Write mixture.wav and region_N.wav; return the samples clipped."""
+def _write_regions(out_dir: Path, mixture, regions, json_name, json_text) -> int:
+    """Write mixture.wav, region_N.wav and one JSON file (a scene's or a
+    tuple's); return the samples clipped."""
     out_dir.mkdir(parents=True, exist_ok=True)
     clipped = write_wav(mixture, out_dir / "mixture.wav")
     for i, sig in enumerate(regions, start=1):
         clipped += write_wav(sig, out_dir / f"region_{i}.wav")
+    (out_dir / json_name).write_text(json_text + "\n")
     return clipped
 
 
-def _synth_one(shared, task):
-    """Render one random scene. Returns (index, spec, mixture set)."""
-    layout, k_range, duration, pool, bank, memo = shared
+def _synth_and_write(shared, task) -> int:
+    """Render random scene ``index`` and write its ``scene_NNNN`` directory;
+    return the samples clipped."""
+    layout, k_range, duration, pool, bank, memo, out = shared
     index, seed_seq = task
     scene_seed = int(seed_seq.generate_state(1)[0])
     spec = random_scene(
         k_range, layout, bank, sorted(pool), seed=scene_seed, duration=duration
     )
-    return index, spec, synth_scene(spec, bank, layout, pool, memo)
+    scene = synth_scene(spec, bank, layout, pool, memo)
+    sdir = out / f"scene_{index:04d}"
+    regions = scene.region_signals
+    return _write_regions(sdir, scene.mixture, regions, "scene.json", spec.to_json())
 
 
 def cmd_synth(args) -> int:
@@ -255,17 +258,10 @@ def cmd_synth(args) -> int:
     # the block-spectra memo of this command; each pool worker gets its own
     # empty copy and fills it as its scenes need
     memo = {}
-    shared = (default_layout_r3(), k_range, duration, pool, bank, memo)
-    root = np.random.SeedSequence(params["seed"])
-    tasks = enumerate(root.spawn(args.num_scenes))
-    clipped = 0
-    with closing(ordered_map(_synth_one, shared, tasks, jobs)) as results:
-        for index, spec, mixture_set in results:
-            sdir = out / f"scene_{index:04d}"
-            clipped += _write_regions(
-                sdir, mixture_set.mixture, mixture_set.region_signals
-            )
-            (sdir / "scene.json").write_text(spec.to_json() + "\n")
+    shared = (default_layout_r3(), k_range, duration, pool, bank, memo, out)
+    tasks = seeded_tasks(args.num_scenes, params["seed"])
+    with closing(ordered_map(_synth_and_write, shared, tasks, jobs)) as results:
+        clipped = sum(results)
     log.info(
         "wrote %d scenes to %s; %d samples clipped", args.num_scenes, out, clipped
     )
@@ -291,11 +287,7 @@ def cmd_separate(args) -> int:
     outcome = separate(signal, cfg)
     records = outcome_records(outcome, source_id, cfg.delta_tau_max)
     names = ["passthrough.wav"] if len(records) == 1 else ["source1.wav", "source2.wav"]
-    entries = []
-    clipped = 0
-    for name, rec in zip(names, records):
-        clipped += write_wav(rec.signal, out / name)
-        entries.append(_record_entry(name, rec))
+    entries, clipped = _write_records(records, names, out)
     log.info("wrote %d files to %s; %d samples clipped", len(records), out, clipped)
     if isinstance(outcome, Discarded):
         entries.append(_discard_entry(outcome.reason, source_id))
@@ -321,10 +313,15 @@ def write_mask_text(mask: np.ndarray, path) -> None:
     Path(path).write_bytes(text.tobytes())
 
 
-def _record_entry(name: str, rec: SourceRecord) -> ManifestEntry:
-    """The manifest line of a record written as ``name``."""
-    outcome = "passthrough" if rec.provenance == PROVENANCE_SINGLE else "separated"
-    return ManifestEntry(name, rec.itd, rec.region, outcome, rec.origin_scene)
+def _write_records(records, names, out: Path):
+    """Write each record's WAV as its name in ``out``; return the records'
+    manifest entries and the samples clipped."""
+    entries, clipped = [], 0
+    for name, rec in zip(names, records):
+        clipped += write_wav(rec.signal, out / name)
+        kind = "passthrough" if rec.provenance == PROVENANCE_SINGLE else "separated"
+        entries.append(ManifestEntry(name, rec.itd, rec.region, kind, rec.origin_scene))
+    return entries, clipped
 
 
 def _discard_entry(reason: str, source_id: str) -> ManifestEntry:
@@ -393,31 +390,31 @@ def _harvest_and_write(shared, task):
     """Harvest one mixture and write its records' WAVs, and their samples to
     the sample store when there is one.
 
-    Returns ``(the records' manifest entries, discard_reason, stored records,
-    samples clipped)``; without a store there are no stored records.
+    Returns ``(manifest entries, discard_reason, stored records, samples
+    clipped)``: a discard's entry, or the records'; without a store there
+    are no stored records.
     """
     pool, bank, cfg, out, store = shared
-    index = task[0]
+    mix_id = f"mix{task[0]:05d}"
     records, discard_reason = harvest_mixture(pool, bank, cfg, *task)
-    entries = []
-    clipped = 0
-    for j, rec in enumerate(records):
-        name = f"mix{index:05d}_{j}.wav"
-        clipped += write_wav(rec.signal, out / name)
-        entries.append(_record_entry(name, rec))
+    names = [f"{mix_id}_{j}.wav" for j in range(len(records))]
+    entries, clipped = _write_records(records, names, out)
+    if discard_reason is not None:
+        entries = [_discard_entry(discard_reason, mix_id)]
     stored = [] if store is None else store_records(records, store)
     return entries, discard_reason, stored, clipped
 
 
-def _tuple_and_write(shared, t: int) -> int:
-    """Draw training tuple ``t`` and write its directory; return the samples clipped."""
+def _tuple_and_write(shared, task) -> int:
+    """Draw training tuple ``t`` from its seed child and write its
+    ``tuple_NNNN`` directory; return the samples clipped."""
     plan, out = shared
-    tup = draw_training_tuple(plan, t)
-    tdir = out / f"tuple_{t:04d}"
-    clipped = _write_regions(tdir, tup.mixture, tup.references)
+    t, seed_seq = task
+    tup = draw_training_tuple(plan, seed_seq)
     meta = {"active": list(tup.active), "provenances": list(tup.provenances)}
-    (tdir / "meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
-    return clipped
+    meta_text = json.dumps(meta, sort_keys=True)
+    tdir = out / f"tuple_{t:04d}"
+    return _write_regions(tdir, tup.mixture, tup.references, "meta.json", meta_text)
 
 
 def cmd_dataset(args) -> int:
@@ -453,17 +450,14 @@ def cmd_dataset(args) -> int:
     )
     with store_dir as store:
         store = None if store is None else Path(store)
-        tasks = harvest_tasks(args.num, seed)
+        tasks = seeded_tasks(args.num, seed)
         shared = (pool, bank, cfg, out, store)
         results = ordered_map(_harvest_and_write, shared, tasks, jobs)
         stored = []
         with closing(results), open(out / "manifest.jsonl", "w") as manifest:
-            for index, result in enumerate(results):
-                entries, discard_reason, new_stored, new_clipped = result
+            for entries, discard_reason, new_stored, new_clipped in results:
                 stats.add(entries, discard_reason)
                 clipped += new_clipped
-                if discard_reason is not None:
-                    entries = [_discard_entry(discard_reason, f"mix{index:05d}")]
                 manifest.writelines(e.to_json() + "\n" for e in entries)
                 stored.extend(new_stored)
         if stored:
@@ -494,12 +488,11 @@ def _write_tuples(
         default_layout_r3(),
         (args.k_min, args.k_max),
         clean_ratio,
-        args.tuples,
-        seed=seed ^ 0x70B1E5,
     )
+    tasks = seeded_tasks(args.tuples, seed ^ 0x70B1E5)
     # the harvest pool is shut down, so no executor thread runs at this fork,
     # and the forked workers inherit the maps
-    results = ordered_map(_tuple_and_write, (plan, out), range(args.tuples), args.jobs)
+    results = ordered_map(_tuple_and_write, (plan, out), tasks, args.jobs)
     with closing(results):
         return sum(results)
 

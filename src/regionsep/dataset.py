@@ -26,6 +26,7 @@ import numpy as np
 
 from .audio import BinauralSignal, Waveform, finite_waveform
 from .hrir import HrirBank
+from .parallel import seeded_tasks
 from .scenes import (
     RegionLayout,
     draw_region_first,
@@ -146,12 +147,6 @@ def outcome_records(
         SourceRecord(sig, itd, region_of_itd(itd, delta_tau_max), prov, origin_scene)
         for sig, itd, prov in labeled
     ]
-
-
-def harvest_tasks(n: int, seed: int) -> List[Tuple[int, np.random.SeedSequence]]:
-    """``(index, seed_seq)`` of each of ``n`` mixtures: child ``index`` of
-    ``SeedSequence(seed)``."""
-    return list(enumerate(np.random.SeedSequence(seed).spawn(n)))
 
 
 def harvest_mixture(
@@ -282,15 +277,14 @@ def load_records(
 @dataclass(frozen=True)
 class TuplePlan:
     """What every training tuple of one build draws from: the database's
-    records by region, the K range, the clean ratio and one seed child per
-    tuple. Made by ``plan_training_tuples``."""
+    records by region, the K range and the clean ratio. Made by
+    ``plan_training_tuples``."""
 
     by_region: Mapping[int, Sequence[SourceRecord]]
     num_regions: int
     k_range: Tuple[int, int]
     clean_ratio: float
     sample_rate: int
-    seeds: Tuple[np.random.SeedSequence, ...]
 
 
 def plan_training_tuples(
@@ -298,11 +292,8 @@ def plan_training_tuples(
     layout: RegionLayout,
     k_range: Tuple[int, int],
     clean_ratio: float,
-    m: int,
-    seed: int,
 ) -> TuplePlan:
-    """Check the tuple parameters and index ``db`` by region for ``m``
-    tuples; tuple ``t`` draws from child ``t`` of ``SeedSequence(seed)``."""
+    """Check the tuple parameters and index ``db`` by region."""
     if not db:
         raise ValueError("source database is empty")
     if not 0.0 <= clean_ratio <= 1.0:
@@ -322,19 +313,21 @@ def plan_training_tuples(
         k_range=(k_lo, k_hi),
         clean_ratio=clean_ratio,
         sample_rate=db[0].signal.sample_rate,
-        seeds=tuple(np.random.SeedSequence(seed).spawn(m)),
     )
 
 
-def draw_training_tuple(plan: TuplePlan, t: int) -> TrainingTuple:
-    """Tuple ``t`` of ``plan``: K region-labeled sources summed per region.
+def draw_training_tuple(
+    plan: TuplePlan, seed_seq: np.random.SeedSequence
+) -> TrainingTuple:
+    """A tuple of ``plan`` drawn from ``seed_seq``: K region-labeled sources
+    summed per region.
 
     Each source is drawn region-first (``scenes.draw_region_first``): a
     uniform region among those with database entries, then a uniform
     entry of it. A drawn dirty source is replaced by its clean original
     with probability ``clean_ratio`` when one is attached to the record.
     """
-    rng = np.random.default_rng(plan.seeds[t])
+    rng = np.random.default_rng(seed_seq)
     k_lo, k_hi = plan.k_range
     k = int(rng.integers(k_lo, k_hi + 1))
 
@@ -365,7 +358,7 @@ def build_training_tuples(
     m: int,
     seed: int,
 ) -> List[TrainingTuple]:
-    """The ``m`` tuples of ``plan_training_tuples(db, ...)``, in order
-    (``draw_training_tuple``)."""
-    plan = plan_training_tuples(db, layout, k_range, clean_ratio, m, seed)
-    return [draw_training_tuple(plan, t) for t in range(m)]
+    """The ``m`` tuples of ``plan_training_tuples(db, ...)``, in order: tuple
+    ``t`` is ``draw_training_tuple`` of task ``t`` of ``seeded_tasks(m, seed)``."""
+    plan = plan_training_tuples(db, layout, k_range, clean_ratio)
+    return [draw_training_tuple(plan, seq) for _, seq in seeded_tasks(m, seed)]

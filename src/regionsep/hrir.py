@@ -83,20 +83,22 @@ def load_hrir_bank(path) -> HrirBank:
         raise AudioFormatError("empty HRIR bank")
 
     entries = {}
-    for _ in range(count):
-        if pos + 12 > len(data):
-            raise AudioFormatError("truncated HRIR bank")
-        azimuth, taps = struct.unpack_from("<dI", data, pos)
-        pos += 12
-        nbytes = taps * 8
-        if pos + 2 * nbytes > len(data):
-            raise AudioFormatError("truncated HRIR bank entry")
-        left = np.frombuffer(data, dtype="<f8", count=taps, offset=pos).copy()
-        pos += nbytes
-        right = np.frombuffer(data, dtype="<f8", count=taps, offset=pos).copy()
-        pos += nbytes
-        if azimuth in entries:
-            raise AudioFormatError(f"duplicate azimuth {azimuth}")
-        entries[azimuth] = (Waveform(left, sample_rate), Waveform(right, sample_rate))
-
-    return HrirBank(entries=entries, sample_rate=sample_rate)
+    try:
+        for _ in range(count):
+            if pos + 12 > len(data):
+                raise AudioFormatError("truncated HRIR bank")
+            azimuth, taps = struct.unpack_from("<dI", data, pos)
+            pos += 12
+            nbytes = taps * 8
+            if pos + 2 * nbytes > len(data):
+                raise AudioFormatError("truncated HRIR bank entry")
+            left = np.frombuffer(data, dtype="<f8", count=taps, offset=pos).copy()
+            pos += nbytes
+            right = np.frombuffer(data, dtype="<f8", count=taps, offset=pos).copy()
+            pos += nbytes
+            if azimuth in entries:
+                raise AudioFormatError(f"duplicate azimuth {azimuth}")
+            entries[azimuth] = (Waveform(left, sample_rate), Waveform(right, sample_rate))
+        return HrirBank(entries=entries, sample_rate=sample_rate)
+    except ValueError as exc:  # also a rate of 0, a NaN tap or a bad azimuth
+        raise AudioFormatError(f"HRIR bank {path}: {exc}") from exc

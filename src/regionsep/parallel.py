@@ -1,11 +1,12 @@
-"""Seed-ordered map over independent tasks, serially or in a process pool,
-and a small thread fan-out for work that releases the interpreter lock.
+"""Seeded tasks and a seed-ordered map over them, serially or in a process
+pool, and a small thread fan-out for work that releases the interpreter lock.
 
-The inputs every task shares (source pool, HRIR bank, configs) reach each
-pool worker once, through the executor's initializer, so a task carries
-only its own small arguments, typically ``(index, SeedSequence)``. Results
-are yielded in task order as they arrive, so the caller can write output
-while the workers keep computing.
+Task ``i`` of ``seeded_tasks(n, seed)`` is ``(i, child i of
+SeedSequence(seed))``, the same at any ``n`` and worker count. The inputs
+every task shares reach each pool worker once, through the executor's
+initializer. A task writes its own output item and returns only small
+results (counts, manifest lines), in task order; the calling process writes
+only the summaries (``manifest.jsonl``, ``stats.json``).
 
 ``thread_map`` starts its threads and joins them within the call, so no
 thread is alive when a later ``ordered_map`` forks its pool workers (a
@@ -17,7 +18,15 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
+import numpy as np
+
 _installed = None  # (fn, shared), set by the initializer in pool workers only
+
+
+def seeded_tasks(n: int, seed: int) -> list:
+    """``(index, seed_seq)`` of each of ``n`` tasks: child ``index`` of
+    ``SeedSequence(seed)``, the package's one split of a seed."""
+    return list(enumerate(np.random.SeedSequence(seed).spawn(n)))
 
 
 def worker_count(jobs: int, n_tasks: int) -> int:

@@ -23,7 +23,8 @@ from regionsep import (
     spherical_itd,
     stft,
 )
-from regionsep.dataset import DirtyBuildStats, harvest_mixture, harvest_tasks
+from regionsep.dataset import DirtyBuildStats, harvest_mixture
+from regionsep.parallel import seeded_tasks
 from regionsep.scenes import (
     RENDER_GROUP_BLOCKS,
     RegionMixtureSet,
@@ -56,7 +57,7 @@ def harvest(pool, cfg: SeparationConfig, n: int, seed: int):
     spherical bank, as ``regionsep dataset`` harvests them."""
     bank = spherical_bank()
     records, stats = [], DirtyBuildStats()
-    for task in harvest_tasks(n, seed):
+    for task in seeded_tasks(n, seed):
         new_records, discard_reason = harvest_mixture(pool, bank, cfg, *task)
         stats.add(new_records, discard_reason)
         records.extend(new_records)
@@ -131,6 +132,17 @@ def check_mask_algebra(
     split = grid.energy * mask1 + grid.energy * mask2
     kept = grid.energy * ~grid.excluded
     assert np.array_equal(split, kept), "masked energies do not sum exactly"
+
+
+def wav_bytes(fmt_tag: int, channels: int, rate: int, bits: int, payload) -> bytes:
+    """A WAV file of one fmt chunk (format tag 1 is PCM, 3 is IEEE float) and
+    one data chunk holding ``payload`` as given."""
+    block = channels * bits // 8
+    fmt = struct.pack(
+        "<IHHIIHH", 16, fmt_tag, channels, rate, rate * block, block, bits
+    )
+    riff = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+    return riff + b"fmt " + fmt + b"data" + struct.pack("<I", len(payload)) + payload
 
 
 def tree_digest(root) -> str:

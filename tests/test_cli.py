@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import pickle
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -32,7 +33,8 @@ from regionsep import (
 from regionsep.cli import main
 from regionsep.dataset import harvest_mixture, store_records
 from regionsep.features import aliasing_bin
-from helpers import DTM, SR, harvest, mixed_tap_bank
+from regionsep.hrir import BANK_MAGIC, BANK_VERSION
+from helpers import DTM, SR, harvest, mixed_tap_bank, wav_bytes
 from helpers import single_source_scene, tree_digest, two_source_scene
 
 
@@ -451,6 +453,55 @@ def test_bad_counts_and_small_pools_exit_2(tmp_path, capsys):
     assert main(["synth", "--num-scenes", "0", "--out", str(tmp_path / "s0")]) == 0
 
 
+def _bank_bytes(rate: int, entries) -> bytes:
+    """An HRIR bank file of ``(azimuth, taps)`` entries, the same taps in both ears."""
+    parts = [BANK_MAGIC, struct.pack("<III", BANK_VERSION, rate, len(entries))]
+    for azimuth, taps in entries:
+        taps = np.asarray(taps, dtype="<f8").tobytes()
+        parts += [struct.pack("<dI", azimuth, len(taps) // 8), taps, taps]
+    return b"".join(parts)
+
+
+def test_malformed_file_content_exit_3_naming_the_file(tmp_path, capsys):
+    # content that parses but cannot make a signal or a bank is an I/O error
+    stereo = np.zeros((4000, 2), dtype="<f4")
+    nan, inf = stereo.copy(), stereo.copy()
+    nan[100, 1] = np.nan
+    inf[200, 0] = -np.inf
+    (tmp_path / "pool").mkdir()
+    files = {
+        "nan.wav": wav_bytes(3, 2, SR, 32, nan.tobytes()),
+        "inf.wav": wav_bytes(3, 2, SR, 32, inf.tobytes()),
+        "rate0.wav": wav_bytes(1, 2, 0, 16, bytes(16000)),
+        "pool/a.wav": wav_bytes(3, 1, SR, 32, nan[:, 1].tobytes()),
+        "pool/b.wav": wav_bytes(3, 1, SR, 32, stereo[:, 0].tobytes()),
+        "nan_tap.hrir": _bank_bytes(SR, [(0.0, [1.0, np.nan])]),
+        "az400.hrir": _bank_bytes(SR, [(400.0, [1.0, 0.5])]),
+        "taps0.hrir": _bank_bytes(SR, [(0.0, [1.0]), (90.0, [])]),
+        "rate0.hrir": _bank_bytes(0, [(0.0, [1.0, 0.5])]),
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    cases = [
+        (["separate", "nan.wav"], "nan.wav", "NaN or Inf"),
+        (["separate", "inf.wav"], "inf.wav", "NaN or Inf"),
+        (["separate", "rate0.wav"], "rate0.wav", "sample_rate must be positive"),
+        (["dataset", "--pool", "pool"], "pool/a.wav", "NaN or Inf"),
+        (["synth", "--hrir-bank", "nan_tap.hrir"], "nan_tap.hrir", "NaN or Inf"),
+        (["synth", "--hrir-bank", "az400.hrir"], "az400.hrir", "outside [0, 360)"),
+        (["synth", "--hrir-bank", "taps0.hrir"], "taps0.hrir", "empty impulse"),
+        (["synth", "--hrir-bank", "rate0.hrir"], "rate0.hrir", "sample_rate must be"),
+    ]
+    for k, (argv, name, reason) in enumerate(cases):
+        argv = [str(tmp_path / a) if a in files or a == "pool" else a for a in argv]
+        out = tmp_path / f"out{k}"
+        assert main(argv + ["--out", str(out)]) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error") and str(tmp_path / name) in err, err
+        assert reason in err, err
+        assert not out.exists(), argv
+
+
 def test_sample_rate_mismatch_exit_2_before_writing(tmp_path, capsys):
     bank8k = tmp_path / "bank8k.bin"
     save_hrir_bank(make_spherical_bank([0.0, 90.0, 270.0], DTM, 8000), bank8k)
@@ -847,10 +898,15 @@ def test_dataset_parent_writes_no_wav_with_a_pool(tmp_path, monkeypatch):
         return write_wav(signal, path)
 
     assert _dataset(tmp_path / "serial", 1, 3) == 0
+    assert _synth(tmp_path / "scenes-serial", num=4) == 0
     monkeypatch.setattr(cli, "write_wav", worker_only_write_wav)
     assert _dataset(tmp_path / "pooled", 2, 3) == 0
     assert tree_digest(tmp_path / "pooled") == tree_digest(tmp_path / "serial")
     assert len(list((tmp_path / "pooled").glob("tuple_*"))) == 3
+    assert _synth(tmp_path / "scenes-pooled", num=4, jobs=2) == 0
+    pooled, serial = tmp_path / "scenes-pooled", tmp_path / "scenes-serial"
+    assert tree_digest(pooled) == tree_digest(serial)
+    assert len(list(pooled.glob("scene_*"))) == 4
 
 
 def test_dataset_write_error_in_a_worker_exit_3(tmp_path, capsys):
@@ -901,13 +957,31 @@ def test_dataset_without_tuples_makes_no_sample_store(tmp_path, monkeypatch):
     assert stores_seen == {"tuples1": 12}
 
 
+def _assert_first_dirs(small, large, pattern, n):
+    """``small``'s ``pattern`` directories are the first ``n`` of ``large``'s."""
+    names = sorted(path.name for path in small.glob(pattern))
+    more = sorted(path.name for path in large.glob(pattern))
+    assert len(names) == n < len(more) and more[:n] == names
+    for name in names:
+        assert tree_digest(small / name) == tree_digest(large / name), name
+
+
 def test_a_harvest_budget_is_a_num_prefix(tmp_path):
-    # a smaller --num harvests the first mixtures of a larger one
+    # a smaller --num harvests the first mixtures of a larger one, and so
+    # does a smaller --tuples draw the first tuples and a smaller
+    # --num-scenes render the first scenes: task i's seed is the same
     for jobs in (1, 2):
-        small, large = tmp_path / f"num4-jobs{jobs}", tmp_path / f"num8-jobs{jobs}"
-        for out, num in ((small, 4), (large, 8)):
+        runs = {}
+        for num, tuples in ((4, 0), (8, 2), (8, 4)):
+            out = runs[num, tuples] = tmp_path / f"num{num}-tuples{tuples}-jobs{jobs}"
             argv = ["dataset", "--out", str(out), "--seed", "7", "--num", str(num)]
-            assert main(argv + ["--jobs", str(jobs)]) == 0
+            assert main(argv + ["--tuples", str(tuples), "--jobs", str(jobs)]) == 0
+        _assert_first_dirs(runs[8, 2], runs[8, 4], "tuple_*", 2)
+        scenes = {num: tmp_path / f"scenes{num}-jobs{jobs}" for num in (4, 8)}
+        for num, out in scenes.items():
+            assert _synth(out, seed=7, num=num, jobs=jobs) == 0
+        _assert_first_dirs(scenes[4], scenes[8], "scene_*", 4)
+        small, large = runs[4, 0], runs[8, 4]
         lines = (small / "manifest.jsonl").read_text().splitlines()
         more = (large / "manifest.jsonl").read_text().splitlines()
         assert len(more) > len(lines) > 0

@@ -122,3 +122,43 @@ def test_only_the_dataset_module_knows_the_sample_store_layout():
     ]
     assert found == []
     assert list(_sample_store_uses((PACKAGE / "dataset.py").read_text()))
+
+
+def _seed_splits(source: str):
+    """Where the source splits a seed: a ``.spawn(...)`` call or a
+    ``SeedSequence(...)`` construction."""
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "spawn":
+            yield f"line {node.lineno}: .spawn("
+        elif getattr(func, "attr", getattr(func, "id", None)) == "SeedSequence":
+            yield f"line {node.lineno}: SeedSequence("
+
+
+def test_the_seed_split_rule_finds_each_form():
+    source = (
+        "root = np.random.SeedSequence(seed)\n"
+        "from numpy.random import SeedSequence\n"
+        "children = SeedSequence(1).spawn(4)\n"
+        "def draw(seq: np.random.SeedSequence): return np.random.default_rng(seq)\n"
+        "spawn(3)\n"
+    )
+    assert sorted(_seed_splits(source)) == [
+        "line 1: SeedSequence(",
+        "line 3: .spawn(",
+        "line 3: SeedSequence(",
+    ]
+
+
+def test_only_the_parallel_module_splits_a_seed():
+    # every seeded task list is parallel.seeded_tasks
+    found = [
+        f"{path.name} {use}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "parallel.py"
+        for use in _seed_splits(path.read_text())
+    ]
+    assert found == []
+    assert list(_seed_splits((PACKAGE / "parallel.py").read_text()))

@@ -8,7 +8,7 @@ import pytest
 
 from regionsep import AudioFormatError, BinauralSignal, Waveform, read_wav, write_wav
 from regionsep.audio import ENCODE_BLOCK
-from helpers import oracle_decode, oracle_write_wav
+from helpers import oracle_decode, oracle_write_wav, wav_bytes
 
 LSB = 1 / 32768
 # full scale, just beyond it, and half-LSB ties, which round half to even
@@ -22,38 +22,11 @@ EDGE_SAMPLES = np.array(
 
 
 def _pcm16_wav(channels: int, sample_rate: int, payload: bytes) -> bytes:
-    byte_rate = sample_rate * channels * 2
-    return b"".join(
-        [
-            b"RIFF",
-            struct.pack("<I", 36 + len(payload)),
-            b"WAVE",
-            b"fmt ",
-            struct.pack(
-                "<IHHIIHH", 16, 1, channels, sample_rate, byte_rate, channels * 2, 16
-            ),
-            b"data",
-            struct.pack("<I", len(payload)),
-            payload,
-        ]
-    )
+    return wav_bytes(1, channels, sample_rate, 16, payload)
 
 
 def _float32_wav(channels: int, payload: bytes) -> bytes:
-    return b"".join(
-        [
-            b"RIFF",
-            struct.pack("<I", 36 + len(payload)),
-            b"WAVE",
-            b"fmt ",
-            struct.pack(
-                "<IHHIIHH", 16, 3, channels, 16000, 16000 * 4 * channels, 4 * channels, 32
-            ),
-            b"data",
-            struct.pack("<I", len(payload)),
-            payload,
-        ]
-    )
+    return wav_bytes(3, channels, 16000, 32, payload)
 
 
 def test_pcm16_max_sample_normalization(tmp_path):
