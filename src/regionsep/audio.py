@@ -22,6 +22,16 @@ ENCODE_BLOCK = 1 << 15  # frames per write_wav block: 256 KB of float64
 DEFAULT_SAMPLE_RATE = 16000
 
 
+def max_wav_frames(channels: int) -> int:
+    """The most frames a PCM-16 WAV file of ``channels`` channels holds:
+    (2**32 - 37) // 4 for stereo, the format of every command's output.
+
+    The RIFF size field (36 header bytes plus the payload) and the data
+    size field are 32-bit, so the payload is at most 2**32 - 37 bytes.
+    """
+    return (2**32 - 37) // (2 * channels)
+
+
 class AudioFormatError(ValueError):
     """Raised for malformed or unsupported WAV / bank files."""
 
@@ -197,7 +207,9 @@ def write_wav(signal: AnySignal, path) -> int:
     """Write a 16-bit PCM WAV file.
 
     Samples outside [-1, 1] are clipped; returns the number of clipped
-    samples. Round trip with read_wav is within one quantization step.
+    samples. Round trip with read_wav is within one quantization step. A
+    signal longer than ``max_wav_frames`` raises ValueError before anything
+    is allocated or written.
 
     Samples are encoded ``ENCODE_BLOCK`` frames at a time into one int16
     array, through one reused float buffer: scale by 32768, round half
@@ -209,6 +221,11 @@ def write_wav(signal: AnySignal, path) -> int:
     else:
         columns = (signal.samples,)
     channels, n = len(columns), len(signal)
+    if n > max_wav_frames(channels):
+        raise ValueError(
+            f"{n} frames do not fit a {channels}-channel PCM-16 WAV file, "
+            f"which holds at most {max_wav_frames(channels)}"
+        )
 
     ints = np.empty((n, channels), dtype="<i2")
     scaled = np.empty(min(n, ENCODE_BLOCK))

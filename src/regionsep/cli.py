@@ -35,10 +35,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioFormatError, BinauralSignal, read_wav, write_wav
+from .audio import AudioFormatError, BinauralSignal, max_wav_frames, read_wav, write_wav
 from .dataset import (
     PROVENANCE_SINGLE,
     DirtyBuildStats,
+    check_pair_gap,
     draw_training_tuple,
     harvest_mixture,
     load_records,
@@ -193,12 +194,18 @@ def _load_pool(args, params: dict, cfg: SeparationConfig, min_sources: int) -> d
 
 
 def _checked_duration(params: dict, cfg: SeparationConfig, min_samples: int) -> float:
-    """The --duration in seconds, if it gives at least ``min_samples`` samples."""
+    """The --duration in seconds, if it gives at least ``min_samples`` samples
+    and no more than a stereo WAV file holds."""
     duration = params["duration"]
     rate = cfg.stft.sample_rate
     if not (math.isfinite(duration) and round(duration * rate) >= min_samples):
         raise ConfigError(
             f"--duration {duration} gives fewer than {min_samples} samples at {rate} Hz"
+        )
+    if round(duration * rate) > max_wav_frames(2):
+        raise ConfigError(
+            f"--duration {duration} gives more samples at {rate} Hz than the "
+            f"{max_wav_frames(2)} frames a stereo WAV file holds"
         )
     return duration
 
@@ -286,12 +293,11 @@ def cmd_separate(args) -> int:
 
     outcome = separate(signal, cfg)
     records = outcome_records(outcome, source_id, cfg.delta_tau_max)
+    reason = outcome.reason if isinstance(outcome, Discarded) else None
     names = ["passthrough.wav"] if len(records) == 1 else ["source1.wav", "source2.wav"]
-    entries, clipped = _write_records(records, names, out)
+    entries, clipped = _write_outcome(records, reason, source_id, names, out)
     log.info("wrote %d files to %s; %d samples clipped", len(records), out, clipped)
-    if isinstance(outcome, Discarded):
-        entries.append(_discard_entry(outcome.reason, source_id))
-    elif isinstance(outcome, Separated) and args.diagnostics:
+    if isinstance(outcome, Separated) and args.diagnostics:
         write_mask_text(outcome.masks[0], out / "mask1.txt")
         write_mask_text(outcome.masks[1], out / "mask2.txt")
         (out / "alpha.txt").write_text(f"{outcome.final_alpha!r}\n")
@@ -313,19 +319,18 @@ def write_mask_text(mask: np.ndarray, path) -> None:
     Path(path).write_bytes(text.tobytes())
 
 
-def _write_records(records, names, out: Path):
-    """Write each record's WAV as its name in ``out``; return the records'
-    manifest entries and the samples clipped."""
+def _write_outcome(records, discard_reason, origin: str, names, out: Path):
+    """Write one stage-1 outcome of ``origin`` to ``out``: each record's WAV
+    under its name in ``names``. Return its manifest entries, the records'
+    or the discard's, and the samples clipped."""
+    if discard_reason is not None:
+        return [ManifestEntry("", None, None, f"discarded:{discard_reason}", origin)], 0
     entries, clipped = [], 0
     for name, rec in zip(names, records):
         clipped += write_wav(rec.signal, out / name)
         kind = "passthrough" if rec.provenance == PROVENANCE_SINGLE else "separated"
-        entries.append(ManifestEntry(name, rec.itd, rec.region, kind, rec.origin_scene))
+        entries.append(ManifestEntry(name, rec.itd, rec.region, kind, origin))
     return entries, clipped
-
-
-def _discard_entry(reason: str, source_id: str) -> ManifestEntry:
-    return ManifestEntry("", None, None, f"discarded:{reason}", source_id)
 
 
 def _read_binaural(path: Path) -> BinauralSignal:
@@ -395,12 +400,11 @@ def _harvest_and_write(shared, task):
     are no stored records.
     """
     pool, bank, cfg, out, store = shared
-    mix_id = f"mix{task[0]:05d}"
-    records, discard_reason = harvest_mixture(pool, bank, cfg, *task)
+    index, seed_seq = task
+    mix_id = f"mix{index:05d}"
+    records, discard_reason = harvest_mixture(pool, bank, cfg, mix_id, seed_seq)
     names = [f"{mix_id}_{j}.wav" for j in range(len(records))]
-    entries, clipped = _write_records(records, names, out)
-    if discard_reason is not None:
-        entries = [_discard_entry(discard_reason, mix_id)]
+    entries, clipped = _write_outcome(records, discard_reason, mix_id, names, out)
     stored = [] if store is None else store_records(records, store)
     return entries, discard_reason, stored, clipped
 
@@ -433,6 +437,10 @@ def cmd_dataset(args) -> int:
             f"(4 STFT frames): {short}"
         )
     bank = _load_bank(args, cfg)
+    try:
+        check_pair_gap(bank.azimuths, cfg.delta_tau_min, cfg.delta_tau_max)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -112,17 +112,35 @@ def draw_mixture_params(
         raise ValueError("need at least 2 pool sources")
     for _ in range(_PAIR_DRAW_LIMIT):
         az1, az2 = rng.choice(azimuths, size=2, replace=True)
-        gap = abs(
-            spherical_itd(float(az1), delta_tau_max)
-            - spherical_itd(float(az2), delta_tau_max)
-        )
-        if gap >= delta_tau_min:
+        if _itd_gap(float(az1), float(az2), delta_tau_max) >= delta_tau_min:
             i, j = rng.choice(len(pool_ids), size=2, replace=False)
             return pool_ids[int(i)], float(az1), pool_ids[int(j)], float(az2)
     raise ValueError(
         "HRIR bank too sparse to satisfy the ITD-gap constraint "
         f"(delta_tau_min={delta_tau_min})"
     )
+
+
+def check_pair_gap(
+    azimuths: Sequence[float], delta_tau_min: float, delta_tau_max: float
+) -> None:
+    """Raise ValueError unless the two of ``azimuths`` widest apart in ITD
+    are at least ``delta_tau_min`` apart, so ``draw_mixture_params`` has a
+    pair to draw."""
+    by_itd = sorted(azimuths, key=lambda az: spherical_itd(float(az), delta_tau_max))
+    lo, hi = float(by_itd[0]), float(by_itd[-1])
+    widest = _itd_gap(lo, hi, delta_tau_max)
+    if widest < delta_tau_min:
+        raise ValueError(
+            f"HRIR bank has no two azimuths delta_tau_min={delta_tau_min} s "
+            f"apart in ITD (the widest pair, {lo} and {hi} deg, is {widest:.3g} s)"
+        )
+
+
+def _itd_gap(az1: float, az2: float, delta_tau_max: float) -> float:
+    """The spherical-ITD gap of two azimuths, which a mixture's pair keeps
+    at least ``delta_tau_min``."""
+    return abs(spherical_itd(az1, delta_tau_max) - spherical_itd(az2, delta_tau_max))
 
 
 def outcome_records(
@@ -153,11 +171,11 @@ def harvest_mixture(
     pool: Mapping[str, Waveform],
     bank: HrirBank,
     cfg: SeparationConfig,
-    index: int,
+    origin: str,
     seed_seq: np.random.SeedSequence,
 ) -> Tuple[List[SourceRecord], Optional[str]]:
-    """Draw mixture ``index`` from ``seed_seq``, render it, run stage 1 and
-    harvest its labeled records: ``(records, discard_reason)``.
+    """Draw a mixture from ``seed_seq``, render it, run stage 1 and harvest
+    its labeled records of ``origin``: ``(records, discard_reason)``.
 
     The pair's ITD gap and the region labels use ``cfg``'s head geometry
     (``delta_tau_min``, ``delta_tau_max``). A separated record carries the
@@ -178,7 +196,7 @@ def harvest_mixture(
     outcome = separate(mixture, cfg)
     if isinstance(outcome, Discarded):
         return [], outcome.reason
-    records = outcome_records(outcome, f"mix{index:05d}", cfg.delta_tau_max)
+    records = outcome_records(outcome, origin, cfg.delta_tau_max)
     if isinstance(outcome, Separated):
         # the clean original is the rendered source whose model ITD is nearest
         true_itds = [spherical_itd(az, cfg.delta_tau_max) for az in (az1, az2)]

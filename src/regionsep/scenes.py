@@ -23,6 +23,7 @@ from .stft import padded_frames
 
 HRIR_TAPS = 256  # length of each synthesized impulse response
 RENDER_GROUP_BLOCKS = 16  # overlap-save blocks transformed at once
+R3_CONE_DEGREES = 45.0  # half-width of the default layout's front and back cones
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,13 @@ class RegionLayout:
 
 
 def default_layout_r3() -> RegionLayout:
-    """Three regions: merged front+back cone, left quarter, right quarter."""
+    """Three regions: merged front+back cone (``R3_CONE_DEGREES``), left, right."""
+    c = R3_CONE_DEGREES
     return RegionLayout(
         regions=(
-            ((315.0, 360.0), (0.0, 45.0), (135.0, 225.0)),  # front + back
-            ((225.0, 315.0),),                              # left
-            ((45.0, 135.0),),                               # right
+            ((360.0 - c, 360.0), (0.0, c), (180.0 - c, 180.0 + c)),  # front + back
+            ((180.0 + c, 360.0 - c),),                               # left
+            ((c, 180.0 - c),),                                       # right
         )
     )
 
@@ -88,28 +90,29 @@ def spherical_itd(azimuth: float, delta_tau_max: float) -> float:
 
 
 def region_of_itd(itd: float, delta_tau_max: float) -> int:
-    """Map an ITD label to the default 3-region layout.
+    """Map an ITD label to a region of ``default_layout_r3()``.
 
-    Magnitudes below delta_tau_max*sin(45 deg) fall in the merged
-    front/back cone (region 1); larger positive ITDs (left leads) map to
-    the left region 2, negative to the right region 3. An ITD beyond
-    delta_tau_max is lateral; it is warned about and labeled by its sign.
+    Magnitudes below the spherical ITD of the cone's edge fall in the
+    front/back cone; larger positive ITDs (left leads) in the left region,
+    negative ones in the right. An ITD beyond delta_tau_max is lateral; it
+    is warned about and labeled by its sign.
 
     This agrees with ``region_of_azimuth(default_layout_r3(), az)`` for the
     spherical ITD of every azimuth except the four region boundaries, and
-    no ITD rule can agree there: 45 and 135 deg share an ITD, as do 225 and
-    315 deg, but the layout puts 45 and 225 deg in a lateral region and 135
-    and 315 deg in the front/back one. The ITD rule calls all four lateral,
-    so a source at 315 deg is labeled region 2.
+    no ITD rule can agree there: with cone half-width ``c``, ``c`` and
+    ``180 - c`` deg share an ITD, as do ``180 + c`` and ``360 - c``, but
+    the layout puts only ``c`` and ``180 + c`` in a lateral region. The
+    ITD rule calls all four lateral.
     """
     if abs(itd) > delta_tau_max:
         warnings.warn(
             f"ITD {itd} exceeds delta_tau_max {delta_tau_max}; labeled by its sign",
             stacklevel=2,
         )
-    if abs(itd) < delta_tau_max * math.sin(math.radians(45.0)):
-        return 1
-    return 2 if itd > 0 else 3
+    layout = default_layout_r3()
+    if abs(itd) < abs(spherical_itd(R3_CONE_DEGREES, delta_tau_max)):
+        return region_of_azimuth(layout, 0.0)
+    return region_of_azimuth(layout, 270.0 if itd > 0 else 90.0)  # left if > 0
 
 
 def synth_spherical_hrir(

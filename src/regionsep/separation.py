@@ -38,6 +38,14 @@ REASON_NO_DOMINANT_FRAMES = "no_dominant_frames"
 
 @dataclass(frozen=True)
 class SeparationConfig:
+    """The parameters of ``separate()``.
+
+    ``seed`` seeds the EM fit's jittered restarts: ``separate()`` runs the
+    fit with ``em`` but its seed replaced by ``seed``, so
+    ``SeparationConfig(em=EmSettings(seed=5))`` still fits with seed 0.
+    Only a direct ``classify_itds`` or ``fit_gmm2`` call reads ``em.seed``.
+    """
+
     stft: StftConfig = field(default_factory=clustering_config)
     delta_tau_max: float = 8.9e-4   # seconds, the head's largest ITD
     sigma_th: float = 7e-5          # seconds

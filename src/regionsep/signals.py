@@ -22,7 +22,7 @@ as 1/bin.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -47,13 +47,11 @@ ENVELOPE_HZ = 3.0  # knots per second of the slow random envelope
 PEAK_AMPLITUDE = 0.25
 
 
-def _slot_gate(
-    t: np.ndarray, parity: int, slot_seconds: float, ramp_seconds: float
-) -> np.ndarray:
+def _slot_gate(t: np.ndarray, parity: int) -> np.ndarray:
     """Smooth gate, high on slots of the given parity, OFF_LEVEL between."""
-    p = np.mod(t - (parity % 2) * slot_seconds, 2.0 * slot_seconds)
-    up = np.clip(p / ramp_seconds, 0.0, 1.0)
-    down = np.clip((slot_seconds + ramp_seconds - p) / ramp_seconds, 0.0, 1.0)
+    p = np.mod(t - (parity % 2) * SLOT_SECONDS, 2.0 * SLOT_SECONDS)
+    up = np.clip(p / RAMP_SECONDS, 0.0, 1.0)
+    down = np.clip((SLOT_SECONDS + RAMP_SECONDS - p) / RAMP_SECONDS, 0.0, 1.0)
     # raised-cosine edges: a corner in the gate would splatter the loud
     # bands' phase across the whole spectrum in the transition frames
     gate = 0.5 - 0.5 * np.cos(np.pi * np.minimum(up, down))
@@ -61,30 +59,14 @@ def _slot_gate(
 
 
 def band_noise_source(
-    rng: np.random.Generator,
-    duration: float,
-    sample_rate: int,
-    bands: Optional[Sequence[Tuple[int, int]]] = None,
-    band_group: Optional[int] = None,
+    rng: np.random.Generator, duration: float, sample_rate: int, band_group: int
 ) -> Waveform:
     """Random noise confined to sparse frequency bands, gated and modulated.
 
-    ``bands`` are half-open ``(start, stop)`` intervals in analysis-bin
-    units (sample_rate/1024 Hz each); when omitted they are the group's
-    low band plus the shared high bands. ``band_group`` (0 or 1, random
-    when None) also selects the parity of the active time slots.
+    ``band_group`` (0 or 1) selects the group's low band, next to the
+    shared high bands, and the parity of the active time slots.
     """
-    n = int(round(duration * sample_rate))
-    if band_group is None:
-        band_group = int(rng.integers(2))
-    if bands is None:
-        bands = _group_bands(band_group)
-    out = _shaped_noise(rng, n, bands)
-    t = np.arange(n) / sample_rate
-    out *= _envelope(rng, t, duration)
-    out *= _slot_gate(t, band_group, SLOT_SECONDS, RAMP_SECONDS)
-    _fade_and_normalise(out, _fade(n, sample_rate))
-    return Waveform(out, sample_rate)
+    return _band_noises(rng, duration, sample_rate, [band_group])[0]
 
 
 def _group_bands(band_group: int) -> Tuple[Tuple[int, int], ...]:
@@ -142,22 +124,28 @@ def make_source_pool(
     opposite parities is W-disjoint by construction (disjoint low bands,
     complementary time slots in the shared high bands). Source ``i`` equals
     ``band_noise_source(rng, duration, sample_rate, band_group=i % 2)``
-    drawn in turn from one generator; the time axis, the fade and each
-    parity's slot gate are computed once for all of them.
+    drawn in turn from one generator.
     """
-    rng = np.random.default_rng(seed)
+    groups = [i % 2 for i in range(count)]
+    sources = _band_noises(np.random.default_rng(seed), duration, sample_rate, groups)
+    return {f"src{i:03d}": wave for i, wave in enumerate(sources)}
+
+
+def _band_noises(
+    rng: np.random.Generator, duration: float, sample_rate: int, groups: Sequence[int]
+) -> List[Waveform]:
+    """One band-noise source per band group of ``groups``, drawn in turn from
+    ``rng``: shaped noise, envelope, slot gate, then fade and normalise. The
+    time axis, the fade and each group's slot gate are computed once, first."""
     n = int(round(duration * sample_rate))
     t = np.arange(n) / sample_rate
-    gates = [
-        _slot_gate(t, parity, SLOT_SECONDS, RAMP_SECONDS)
-        for parity in range(min(count, 2))
-    ]
+    gates = {group: _slot_gate(t, group) for group in set(groups)}
     fade = _fade(n, sample_rate)
-    pool = {}
-    for i in range(count):
-        out = _shaped_noise(rng, n, _group_bands(i))
+    sources = []
+    for group in groups:
+        out = _shaped_noise(rng, n, _group_bands(group))
         out *= _envelope(rng, t, duration)
-        out *= gates[i % 2]
+        out *= gates[group]
         _fade_and_normalise(out, fade)
-        pool[f"src{i:03d}"] = Waveform(out, sample_rate)
-    return pool
+        sources.append(Waveform(out, sample_rate))
+    return sources

@@ -57,8 +57,9 @@ def harvest(pool, cfg: SeparationConfig, n: int, seed: int):
     spherical bank, as ``regionsep dataset`` harvests them."""
     bank = spherical_bank()
     records, stats = [], DirtyBuildStats()
-    for task in seeded_tasks(n, seed):
-        new_records, discard_reason = harvest_mixture(pool, bank, cfg, *task)
+    for i, seed_seq in seeded_tasks(n, seed):
+        origin = f"mix{i:05d}"
+        new_records, discard_reason = harvest_mixture(pool, bank, cfg, origin, seed_seq)
         stats.add(new_records, discard_reason)
         records.extend(new_records)
     return records, stats
@@ -84,8 +85,11 @@ def single_source_scene(
     duration: float = 4.0,
     group: Optional[int] = None,
 ) -> Tuple[BinauralSignal, float]:
-    """Band-noise source rendered at one azimuth; returns (signal, true ITD)."""
+    """Band-noise source rendered at one azimuth; returns (signal, true ITD).
+    Without a ``group`` the band group is drawn from the seed's generator."""
     rng = np.random.default_rng(seed)
+    if group is None:
+        group = int(rng.integers(2))
     src = band_noise_source(rng, duration, SR, band_group=group)
     bank = spherical_bank()
     rendered = render_binaural_source(src, bank, azimuth, duration)

@@ -30,6 +30,7 @@ from regionsep import (
     separate,
     write_wav,
 )
+from regionsep.audio import max_wav_frames
 from regionsep.cli import main
 from regionsep.dataset import harvest_mixture, store_records
 from regionsep.features import aliasing_bin
@@ -782,6 +783,44 @@ def test_bad_duration_and_clean_ratio_exit_2_before_writing(tmp_path, capsys):
     ]
     for k, argv in enumerate(shortest):
         assert main(argv + ["--out", str(tmp_path / f"ok{k}")]) == 0, argv
+
+
+def test_duration_beyond_a_wav_file_exit_2_before_writing(tmp_path, capsys, monkeypatch):
+    def no_pool(**kwargs):
+        raise AssertionError("the pool is built before the duration is checked")
+
+    monkeypatch.setattr(cli, "make_source_pool", no_pool)
+    for command, count in (("synth", "--num-scenes"), ("dataset", "--num")):
+        out = tmp_path / command
+        argv = [command, count, "0", "--duration", "1e9", "--out", str(out)]
+        assert main(argv) == 2, argv
+        assert "frames a stereo WAV file holds" in capsys.readouterr().err
+        assert not out.exists()
+    # the edge: the last duration a stereo file holds, and one frame more
+    cfg = SeparationConfig()
+    frames = max_wav_frames(2)
+    for n in (frames, frames + 1):
+        duration = n / SR
+        assert round(duration * SR) == n
+        if n == frames:
+            assert cli._checked_duration({"duration": duration}, cfg, 1) == duration
+        else:
+            with pytest.raises(cli.ConfigError, match=f"the {frames} frames"):
+                cli._checked_duration({"duration": duration}, cfg, 1)
+
+
+def test_sparse_hrir_bank_is_a_dataset_config_error(tmp_path, capsys):
+    # one azimuth, or 0 and 180 deg, whose spherical ITDs are both 0: no
+    # pair is delta_tau_min apart
+    for k, azimuths in enumerate(([90.0], [0.0, 180.0])):
+        bank = tmp_path / f"bank{k}.bin"
+        save_hrir_bank(make_spherical_bank(azimuths, DTM, SR), bank)
+        out = tmp_path / f"out{k}"
+        argv = ["dataset", "--num", "2", "--hrir-bank", str(bank), "--out", str(out)]
+        assert main(argv) == 2, azimuths
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "no two azimuths" in err, err
+        assert not out.exists()
 
 
 def test_eval_estimate_sample_rate_mismatch_exit_3(tmp_path, capsys):

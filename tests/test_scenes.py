@@ -26,6 +26,7 @@ from regionsep import (
     synth_scene,
     synth_spherical_hrir,
 )
+import regionsep.scenes as scenes
 from regionsep.scenes import RENDER_GROUP_BLOCKS, _fft_size, draw_region_first
 from helpers import DTM, SR, mixed_tap_bank, oracle_render, oracle_synth_scene
 from helpers import spherical_bank
@@ -80,14 +81,18 @@ def test_region_of_itd():
         assert region_of_itd(-2 * DTM, DTM) == 3
 
 
-def test_region_of_itd_matches_layout_off_the_boundaries():
-    # 45/135 and 225/315 deg share an ITD but not a layout region
-    layout = default_layout_r3()
-    for az in np.arange(0.0, 360.0, 5.0):
-        if az in (45.0, 135.0, 225.0, 315.0):
-            continue
-        itd = spherical_itd(az, DTM)
-        assert region_of_itd(itd, DTM) == region_of_azimuth(layout, az), az
+def test_region_of_itd_matches_layout_off_the_boundaries(monkeypatch):
+    # c/180-c and 180+c/360-c deg share an ITD but not a layout region; a
+    # second cone width, set through the one cone statement, holds the ITD
+    # rule to the layout's geometry
+    for cone in (45.0, 30.0):
+        monkeypatch.setattr(scenes, "R3_CONE_DEGREES", cone)
+        layout = default_layout_r3()
+        for az in np.arange(0.0, 360.0, 5.0):
+            if az in (cone, 180.0 - cone, 180.0 + cone, 360.0 - cone):
+                continue
+            itd = spherical_itd(az, DTM)
+            assert region_of_itd(itd, DTM) == region_of_azimuth(layout, az), (cone, az)
 
 
 def test_synth_scene_hand_convolution():

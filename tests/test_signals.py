@@ -81,16 +81,6 @@ def test_alternating_time_slots():
         assert loud > 25 * quiet
 
 
-def test_custom_bands_override():
-    rng = np.random.default_rng(4)
-    wave = band_noise_source(rng, 1.0, SR, bands=((100, 110),), band_group=0)
-    spectrum = np.abs(np.fft.rfft(wave.samples)) ** 2
-    scale = len(wave) / 1024
-    inside = spectrum[int(98 * scale) : int(112 * scale)].sum()
-    total = spectrum.sum()
-    assert inside > 0.99 * total
-
-
 @pytest.mark.parametrize("count", [1, 2, 3, 8])
 @pytest.mark.parametrize(
     "duration, rate",

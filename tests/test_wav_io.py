@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from regionsep import AudioFormatError, BinauralSignal, Waveform, read_wav, write_wav
-from regionsep.audio import ENCODE_BLOCK
+from regionsep.audio import ENCODE_BLOCK, finite_waveform, max_wav_frames
 from helpers import oracle_decode, oracle_write_wav, wav_bytes
 
 LSB = 1 / 32768
@@ -257,3 +257,24 @@ def test_write_wav_traced_memory_is_payload_plus_two_megabytes(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= payload + 2_000_000
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_write_wav_refuses_a_signal_longer_than_a_file_holds(tmp_path, channels):
+    # zero-stride views: a signal one frame over the limit that allocates nothing
+    n = max_wav_frames(channels) + 1
+    wave = finite_waveform(np.broadcast_to(0.0, (n,)), 16000)
+    signal = wave if channels == 1 else BinauralSignal(wave, wave)
+    path = tmp_path / "long.wav"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"at most {max_wav_frames(channels)}"):
+            write_wav(signal, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert not path.exists()
+    # a file at the limit fits its 32-bit RIFF size field, one frame more not
+    frame_bytes = 2 * channels
+    assert 36 + frame_bytes * (n - 1) <= 2**32 - 1 < 36 + frame_bytes * n
