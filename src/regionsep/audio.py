@@ -109,14 +109,12 @@ class BinauralSignal:
 AnySignal = Union[Waveform, BinauralSignal]
 
 
-def _parse_riff_chunks(data: memoryview):
-    """Map each chunk id to its first body (a view of ``data``), and name a
-    chunk cut off by EOF.
+def _parse_riff_chunks(data: memoryview) -> dict:
+    """Map each chunk id to its first body (a view of ``data``).
 
-    Returns ``(chunks, truncated)``: a chunk whose declared size runs past
-    the end of the file is the last one, is left out of ``chunks``, and its
-    id and declared size are returned as ``truncated`` (None if there is
-    no such chunk).
+    A chunk whose declared size runs past the end of the file ends the
+    scan. A cut-off trailing metadata chunk loses no audio and is left out;
+    a cut fmt or data chunk, one not seen before, raises.
     """
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise AudioFormatError("not a RIFF/WAVE file")
@@ -126,11 +124,16 @@ def _parse_riff_chunks(data: memoryview):
         cid = bytes(data[pos : pos + 4])
         (size,) = struct.unpack_from("<I", data, pos + 4)
         if pos + 8 + size > len(data):
-            return chunks, (cid, size)
+            if cid in (b"fmt ", b"data") and cid not in chunks:
+                raise AudioFormatError(
+                    f"truncated {cid.decode('latin-1')!r} chunk: declares {size} "
+                    "bytes, past the end of the file"
+                )
+            break
         if cid not in chunks:
             chunks[cid] = data[pos + 8 : pos + 8 + size]
         pos += 8 + size + (size & 1)  # chunks are word-aligned
-    return chunks, None
+    return chunks
 
 
 def read_wav(path) -> AnySignal:
@@ -149,16 +152,7 @@ def read_wav(path) -> AnySignal:
 
 
 def _decode_wav(data: memoryview) -> AnySignal:
-    chunks, truncated = _parse_riff_chunks(data)
-    if truncated is not None:
-        cid, size = truncated
-        # a cut-off trailing metadata chunk loses no audio; a cut fmt or
-        # data chunk does
-        if cid in (b"fmt ", b"data") and cid not in chunks:
-            raise AudioFormatError(
-                f"truncated {cid.decode('latin-1')!r} chunk: declares {size} "
-                "bytes, past the end of the file"
-            )
+    chunks = _parse_riff_chunks(data)
     if b"fmt " not in chunks or b"data" not in chunks:
         raise AudioFormatError("missing fmt or data chunk")
     fmt = chunks[b"fmt "]

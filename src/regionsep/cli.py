@@ -7,11 +7,12 @@ list that ``parallel.ordered_map`` runs, in --jobs worker processes (at
 least 1). The inputs every task shares (source pool, HRIR bank, configs)
 go to each worker once; a task carries its index and seed child, writes
 its own item (a scene directory, a mixture's WAVs, a tuple directory) and
-returns its counts and manifest lines. Of their output, this process
-writes only ``manifest.jsonl`` and ``stats.json``, in seed order. Item
-``i`` is the same at any count, so a harvest budget is a smaller ``--num``.
-When tuples follow, the harvest tasks also put their samples in a store
-(``dataset.store_records``) and return each record's location; the tuple
+returns its counts and manifest lines. Once every task has finished, this
+process writes only ``manifest.jsonl`` and ``stats.json``, in seed order.
+Item ``i`` is the same at any count, so a harvest budget is a smaller
+``--num``. When tuples follow, the harvest tasks also put their samples
+in a store (``dataset.store_records``; the clean originals only at a
+``--clean-ratio`` above 0) and return each record's location; the tuple
 workers this process forks read the records they draw from its maps of the
 store (``dataset.load_records``). This module owns only the store's
 directory, a private one under ``--out`` that is removed when the command
@@ -24,13 +25,15 @@ Exit codes: 0 success (including discards), 2 config error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
 import os
+import re
 import sys
 import tempfile
-from contextlib import closing, nullcontext
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -267,8 +270,7 @@ def cmd_synth(args) -> int:
     memo = {}
     shared = (default_layout_r3(), k_range, duration, pool, bank, memo, out)
     tasks = seeded_tasks(args.num_scenes, params["seed"])
-    with closing(ordered_map(_synth_and_write, shared, tasks, jobs)) as results:
-        clipped = sum(results)
+    clipped = sum(ordered_map(_synth_and_write, shared, tasks, jobs))
     log.info(
         "wrote %d scenes to %s; %d samples clipped", args.num_scenes, out, clipped
     )
@@ -340,6 +342,16 @@ def _read_binaural(path: Path) -> BinauralSignal:
     return signal
 
 
+def _region_id(path: Path) -> int:
+    """The N of a ``region_N.wav`` reference, a positive integer."""
+    n = path.stem[len("region_") :]
+    if not re.fullmatch(r"[1-9][0-9]*", n):
+        raise AudioFormatError(
+            f"{path}: not a region_N.wav reference with N a positive integer"
+        )
+    return int(n)
+
+
 def cmd_eval(args) -> int:
     refs_root = Path(args.references)
     est_root = Path(args.estimates)
@@ -347,7 +359,7 @@ def cmd_eval(args) -> int:
     for scene_dir in sorted(p for p in refs_root.iterdir() if p.is_dir()):
         mixture_path = scene_dir / "mixture.wav"
         mixture = _read_binaural(mixture_path)
-        region_paths = sorted(scene_dir.glob("region_*.wav"))
+        region_paths = sorted(scene_dir.glob("region_*.wav"), key=_region_id)
         if not region_paths:
             raise AudioFormatError(f"{scene_dir} holds no region_N.wav reference")
         refs = []
@@ -393,18 +405,21 @@ def cmd_eval(args) -> int:
 
 def _harvest_and_write(shared, task):
     """Harvest one mixture and write its records' WAVs, and their samples to
-    the sample store when there is one.
+    the sample store when there is one: the clean originals too, unless the
+    tuples read none of them.
 
     Returns ``(manifest entries, discard_reason, stored records, samples
     clipped)``: a discard's entry, or the records'; without a store there
     are no stored records.
     """
-    pool, bank, cfg, out, store = shared
+    pool, bank, cfg, out, store, keep_clean = shared
     index, seed_seq = task
     mix_id = f"mix{index:05d}"
     records, discard_reason = harvest_mixture(pool, bank, cfg, mix_id, seed_seq)
     names = [f"{mix_id}_{j}.wav" for j in range(len(records))]
     entries, clipped = _write_outcome(records, discard_reason, mix_id, names, out)
+    if not keep_clean:
+        records = [dataclasses.replace(rec, clean_signal=None) for rec in records]
     stored = [] if store is None else store_records(records, store)
     return entries, discard_reason, stored, clipped
 
@@ -459,15 +474,16 @@ def cmd_dataset(args) -> int:
     with store_dir as store:
         store = None if store is None else Path(store)
         tasks = seeded_tasks(args.num, seed)
-        shared = (pool, bank, cfg, out, store)
+        # at a clean ratio of 0 no tuple reads a clean original
+        shared = (pool, bank, cfg, out, store, clean_ratio > 0)
         results = ordered_map(_harvest_and_write, shared, tasks, jobs)
-        stored = []
-        with closing(results), open(out / "manifest.jsonl", "w") as manifest:
-            for entries, discard_reason, new_stored, new_clipped in results:
-                stats.add(entries, discard_reason)
-                clipped += new_clipped
-                manifest.writelines(e.to_json() + "\n" for e in entries)
-                stored.extend(new_stored)
+        entries, stored = [], []
+        for new_entries, discard_reason, new_stored, new_clipped in results:
+            stats.add(new_entries, discard_reason)
+            clipped += new_clipped
+            entries.extend(new_entries)
+            stored.extend(new_stored)
+        write_manifest(entries, out / "manifest.jsonl")
         if stored:
             clipped += _write_tuples(args, out, clean_ratio, seed, stored, store)
         elif args.tuples > 0:
@@ -498,11 +514,8 @@ def _write_tuples(
         clean_ratio,
     )
     tasks = seeded_tasks(args.tuples, seed ^ 0x70B1E5)
-    # the harvest pool is shut down, so no executor thread runs at this fork,
-    # and the forked workers inherit the maps
-    results = ordered_map(_tuple_and_write, (plan, out), tasks, args.jobs)
-    with closing(results):
-        return sum(results)
+    # the forked workers inherit the maps
+    return sum(ordered_map(_tuple_and_write, (plan, out), tasks, args.jobs))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, command: str):

@@ -311,7 +311,11 @@ def plan_training_tuples(
     k_range: Tuple[int, int],
     clean_ratio: float,
 ) -> TuplePlan:
-    """Check the tuple parameters and index ``db`` by region."""
+    """Check the tuple parameters and index ``db`` by region.
+
+    Above a ``clean_ratio`` of 0 every separated record needs its clean
+    original; at 0 none is read.
+    """
     if not db:
         raise ValueError("source database is empty")
     if not 0.0 <= clean_ratio <= 1.0:
@@ -324,6 +328,12 @@ def plan_training_tuples(
     for rec in db:
         if not 1 <= rec.region <= layout.num_regions:
             raise ValueError(f"record region {rec.region} is not in the layout")
+        separated = rec.provenance == PROVENANCE_SEPARATED
+        if clean_ratio > 0 and separated and rec.clean_signal is None:
+            raise ValueError(
+                f"a separated record of {rec.origin_scene} has no clean "
+                f"original, which clean_ratio {clean_ratio} needs"
+            )
         by_region.setdefault(rec.region, []).append(rec)
     return TuplePlan(
         by_region=by_region,
@@ -342,8 +352,10 @@ def draw_training_tuple(
 
     Each source is drawn region-first (``scenes.draw_region_first``): a
     uniform region among those with database entries, then a uniform
-    entry of it. A drawn dirty source is replaced by its clean original
-    with probability ``clean_ratio`` when one is attached to the record.
+    entry of it. A drawn separated source is replaced by its clean
+    original with probability ``clean_ratio``; the draw is made for every
+    separated source, so the tuple is the same whether or not a clean
+    original is attached at a ratio of 0.
     """
     rng = np.random.default_rng(seed_seq)
     k_lo, k_hi = plan.k_range
@@ -352,7 +364,8 @@ def draw_training_tuple(
     chosen: List[Tuple[int, BinauralSignal, str]] = []
     for _ in range(k):
         region, rec = draw_region_first(rng, plan.by_region)
-        use_clean = rec.clean_signal is not None and rng.random() < plan.clean_ratio
+        separated = rec.provenance == PROVENANCE_SEPARATED
+        use_clean = separated and rng.random() < plan.clean_ratio
         signal = rec.clean_signal if use_clean else rec.signal
         provenance = PROVENANCE_CLEAN if use_clean else rec.provenance
         chosen.append((region, signal, provenance))

@@ -5,12 +5,14 @@ Task ``i`` of ``seeded_tasks(n, seed)`` is ``(i, child i of
 SeedSequence(seed))``, the same at any ``n`` and worker count. The inputs
 every task shares reach each pool worker once, through the executor's
 initializer. A task writes its own output item and returns only small
-results (counts, manifest lines), in task order; the calling process writes
+results (counts, manifest lines); ``ordered_map`` returns them as one list,
+in task order, once every task has finished. The calling process writes
 only the summaries (``manifest.jsonl``, ``stats.json``).
 
-``thread_map`` starts its threads and joins them within the call, so no
-thread is alive when a later ``ordered_map`` forks its pool workers (a
-fork while threads run can deadlock the child).
+``ordered_map`` shuts its pool down, and ``thread_map`` joins its threads,
+within the call, so no worker or executor thread is alive when a later
+``ordered_map`` forks its pool workers (a fork while threads run can
+deadlock the child).
 """
 
 from __future__ import annotations
@@ -36,27 +38,26 @@ def worker_count(jobs: int, n_tasks: int) -> int:
     return min(jobs, n_tasks)
 
 
-def ordered_map(fn, shared, tasks, jobs: int = 1):
-    """Iterator over ``fn(shared, task)`` for every task, in task order.
+def ordered_map(fn, shared, tasks, jobs: int = 1) -> list:
+    """``[fn(shared, task) for task in tasks]``, in task order.
 
-    With one worker the calls run lazily in this process. Closing the
-    iterator early cancels the tasks that no worker has started.
+    With one worker the calls run in this process. With more, they run in
+    a process pool that is shut down before this returns; a task that
+    raises cancels the tasks no worker has started.
     """
     tasks = list(tasks)
     n_workers = worker_count(jobs, len(tasks))
     if n_workers <= 1:
-        return (fn(shared, task) for task in tasks)
+        return [fn(shared, task) for task in tasks]
     return _pooled(fn, shared, tasks, n_workers)
 
 
-def _pooled(fn, shared, tasks, n_workers):
-    executor = ProcessPoolExecutor(
+def _pooled(fn, shared, tasks, n_workers) -> list:
+    # a task that raises makes map's iterator cancel the unstarted ones
+    with ProcessPoolExecutor(
         n_workers, initializer=_install, initargs=(fn, shared)
-    )
-    try:
-        yield from executor.map(_call_installed, tasks)
-    finally:
-        executor.shutdown(cancel_futures=True)
+    ) as executor:
+        return list(executor.map(_call_installed, tasks))
 
 
 def _install(fn, shared):

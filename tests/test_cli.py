@@ -619,6 +619,35 @@ def test_eval_scene_of_silent_regions_exit_3(tmp_path, capsys):
     assert "every region_N.wav reference in" in err and "is silent" in err
 
 
+def test_eval_scores_regions_in_id_order_past_nine(tmp_path):
+    # region_10 and region_11 sort before region_2 as strings
+    scene = tmp_path / "refs" / "scene_0000"
+    scene.mkdir(parents=True)
+    single, _ = single_source_scene(50.0, seed=4, duration=1.0)
+    zeros = Waveform(np.zeros(len(single)), SR)
+    silent = BinauralSignal(zeros, zeros)
+    write_wav(single, scene / "mixture.wav")
+    for n in range(1, 12):
+        write_wav(single if n == 2 else silent, scene / f"region_{n}.wav")
+    report = tmp_path / "report.jsonl"
+    argv = ["eval", "--estimates", str(tmp_path / "refs"), "--references"]
+    assert main(argv + [str(tmp_path / "refs"), "--out", str(report)]) == 0
+    (record,) = [json.loads(line) for line in report.read_text().splitlines()]
+    assert record["active"] == [n == 2 for n in range(1, 12)]
+    assert [v is not None for v in record["per_region_db"]] == record["active"]
+    assert record["mode"] == "s_snr"
+
+
+def test_eval_region_name_without_a_positive_id_exit_3(tmp_path, capsys):
+    for name in ("region_0.wav", "region_x.wav", "region_02.wav", "region_.wav"):
+
+        def add_bad_region(scene):
+            write_wav(read_wav(scene / "region_1.wav"), scene / name)
+
+        err = _eval_malformed_scene(tmp_path / name, capsys, add_bad_region)
+        assert name in err and "positive integer" in err, name
+
+
 # the config keys each command reads, and so its only config flags
 COMMAND_KEYS = {
     "synth": {"delta_tau_max", "sample_rate", "seed", "duration"},
@@ -994,6 +1023,29 @@ def test_dataset_without_tuples_makes_no_sample_store(tmp_path, monkeypatch):
     # only the run with a tuple stores its mixtures' samples
     assert stored == {"tuples1": 12}
     assert stores_seen == {"tuples1": 12}
+
+
+def test_a_ratio_0_sample_store_holds_only_the_dirty_signals(tmp_path, monkeypatch):
+    written = {}
+
+    def sizing_store_records(records, store):
+        stored = store_records(records, store)
+        clean = [r.clean_signal for r in records if r.clean_signal is not None]
+        sizes = written.setdefault(store.parent.name, Counter())
+        sizes["dirty"] += sum(2 * 8 * len(r.signal) for r in records)
+        sizes["clean"] += sum(2 * 8 * len(sig) for sig in clean)
+        sizes["file"] = sum(path.stat().st_size for path in store.iterdir())
+        return stored
+
+    monkeypatch.setattr(cli, "store_records", sizing_store_records)
+    for ratio in ("0", "0.5"):
+        assert _dataset(tmp_path / ratio, 1, 6, ("--clean-ratio", ratio)) == 0
+    ratio0, ratio05 = written["0"], written["0.5"]
+    assert ratio0["dirty"] > 0 and ratio0["clean"] == 0
+    assert ratio0["file"] == ratio0["dirty"]
+    # the tuples of a positive ratio read the clean originals
+    assert ratio05["dirty"] == ratio0["dirty"] and ratio05["clean"] > 0
+    assert ratio05["file"] == ratio05["dirty"] + ratio05["clean"]
 
 
 def _assert_first_dirs(small, large, pattern, n):

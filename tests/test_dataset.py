@@ -186,6 +186,22 @@ def test_training_tuples_validation(harvested):
         build_training_tuples(outside, layout, (2, 3), 0.5, m=1, seed=0)
 
 
+def test_training_tuples_need_clean_originals_only_above_ratio_0(harvested):
+    records, _ = harvested
+    layout = default_layout_r3()
+    bare = [dataclasses.replace(rec, clean_signal=None) for rec in records]
+    assert any(rec.provenance == PROVENANCE_SEPARATED for rec in bare)
+    with pytest.raises(ValueError, match="no clean original"):
+        build_training_tuples(bare, layout, (2, 3), 0.5, m=1, seed=0)
+    # at ratio 0 the clean originals are never read, and the draws are the same
+    dirty = build_training_tuples(records, layout, (2, 4), 0.0, m=10, seed=4)
+    same = build_training_tuples(bare, layout, (2, 4), 0.0, m=10, seed=4)
+    for a, b in zip(dirty, same):
+        assert a.provenances == b.provenances
+        assert np.array_equal(a.mixture.left.samples, b.mixture.left.samples)
+        assert np.array_equal(a.mixture.right.samples, b.mixture.right.samples)
+
+
 def test_manifest_round_trip(tmp_path):
     entries = [
         ManifestEntry("a.wav", 1e-4, 1, "passthrough", "mix00001"),

@@ -1,7 +1,9 @@
 """Seed-ordered map tests: worker cap, serial path, pool path; thread fan-out."""
 
+import multiprocessing
 import os
 import threading
+import time
 
 import pytest
 
@@ -36,18 +38,15 @@ def test_one_task_runs_in_process_whatever_jobs():
     assert parallel._installed is None
 
 
-def test_serial_path_is_lazy_and_leaves_no_state():
+def test_serial_path_keeps_task_order_and_leaves_no_state():
     calls = []
 
     def fn(shared, task):
         calls.append(task)
         return shared + task
 
-    results = ordered_map(fn, 10, [1, 2, 3], jobs=1)
-    assert calls == []
-    assert next(results) == 11
-    assert calls == [1]
-    assert list(results) == [12, 13]
+    assert ordered_map(fn, 10, [1, 2, 3], jobs=1) == [11, 12, 13]
+    assert calls == [1, 2, 3]
     assert parallel._installed is None
 
 
@@ -59,6 +58,26 @@ def test_pool_path_keeps_task_order_and_installs_state_in_workers_only():
     assert parallel._installed is None
 
 
+def test_pool_path_returns_a_list_with_its_pool_shut_down():
+    results = ordered_map(_tag, "shared", range(4), jobs=2)
+    assert isinstance(results, list) and len(results) == 4
+    assert multiprocessing.active_children() == []
+
+
+def _mark_and_fail_first(started_dir, task):
+    (started_dir / str(task)).touch()
+    if task == 0:
+        raise RuntimeError("task 0 failed")
+    time.sleep(0.05)
+    return task
+
+
+def test_a_failing_task_cancels_the_unstarted_ones_and_shuts_the_pool_down(tmp_path):
+    with pytest.raises(RuntimeError, match="task 0 failed"):
+        ordered_map(_mark_and_fail_first, tmp_path, range(200), jobs=2)
+    assert multiprocessing.active_children() == []
+    # without the cancel, every task would have started and finished
+    assert len(list(tmp_path.iterdir())) < 50
 def _thread_of(item):
     return item, threading.get_ident()
 
