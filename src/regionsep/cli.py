@@ -362,6 +362,12 @@ def cmd_eval(args) -> int:
         region_paths = sorted(scene_dir.glob("region_*.wav"), key=_region_id)
         if not region_paths:
             raise AudioFormatError(f"{scene_dir} holds no region_N.wav reference")
+        for n, path in enumerate(region_paths, 1):
+            if _region_id(path) != n:
+                raise AudioFormatError(
+                    f"{scene_dir} holds no region_{n}.wav reference: "
+                    "region ids must run from 1 without gaps"
+                )
         refs = []
         estimates = []
         active = []

@@ -22,25 +22,19 @@ recording. Analysis zero-pads and windows one block of frames at a time
 and writes its ``rfft`` rows into a preallocated ``(frames, bins)``
 array; each row is an independent transform, so the bins equal one
 ``rfft`` of the whole frame matrix. Synthesis masks, inverts and windows
-a block ``SUB_FRAMES`` frames at a time into one reused frame buffer, so
-each step's operands (about 1.5 MB) stay in a core's cache, then
-overlap-adds the block's frames straight into the output.
+one block at a time and overlap-adds the block's frames straight into
+the output.
 
 The overlap-add within a block is phase-wise. With ``P = ceil(N/hop)``,
 frames ``r, r+P, r+2P, ...`` start ``P*hop >= N`` samples apart and never
 overlap, so each of the ``P`` phases is one vectorised add into a
-``(frames, P*hop)`` view of the output instead of one add per frame. A
-block's frames are overlap-added together, not per sub-block: with three
-or more frames over a sample, adding sub-blocks apart would reorder its
-sum. The squared-window sum is built the same way from a broadcast of
-``w**2``, but only over the first and last few frames: between them every
-sample sums the same window terms in the same phase order, so the sum is
-periodic in ``P*hop`` and one period is copied across. At the default
-``hop = N/2`` each output sample sums at most two frames, and a two-term
-floating-point sum does not depend on its order (nor on which block each
-term came from), so the result equals a frame-by-frame loop's bit for
-bit; with more overlap the summation order differs and results agree to
-rounding.
+``(frames, P*hop)`` view of the output instead of one add per frame. The
+squared-window sum is built the same way, from a broadcast of ``w**2``
+over every frame. At the default ``hop = N/2`` each output sample sums at
+most two frames, and a two-term floating-point sum does not depend on its
+order (nor on which block each term came from), so the result equals a
+frame-by-frame loop's bit for bit; with more overlap the summation order
+differs and results agree to rounding.
 
 ``stft_many`` and ``istft_many`` transform several channels, or several
 masked versions of one channel, at once. They allocate every result in
@@ -69,7 +63,6 @@ from .parallel import thread_map
 
 WSUM_FLOOR = 1e-12
 BLOCK_FRAMES = 256  # about 8 s at the 512-sample hop and 16 kHz
-SUB_FRAMES = 64  # frames per inverse transform: 512 KB of 1024-sample frames
 
 
 @dataclass(frozen=True)
@@ -220,42 +213,13 @@ def _overlap_add(acc: np.ndarray, frames: np.ndarray, hop: int) -> None:
         view[:, :size] += group
 
 
-def _squared_window_ola(cfg: StftConfig, n_frames: int) -> np.ndarray:
-    """The overlap-add of ``n_frames`` squared windows, phase by phase."""
+def _window_sum(cfg: StftConfig, n_frames: int, original_length: int) -> np.ndarray:
+    """The squared-window overlap sum over the samples an inversion keeps."""
     win = _window(cfg.fft_size)
     acc = np.zeros(_synthesis_length(cfg, n_frames))
     _overlap_add(acc, np.broadcast_to(win * win, (n_frames, cfg.fft_size)), cfg.hop)
-    return acc
-
-
-def _window_sum(cfg: StftConfig, n_frames: int, original_length: int) -> np.ndarray:
-    """The squared-window overlap sum over the samples an inversion keeps.
-
-    Only the first ``2P`` frames and the last ``2P`` to ``3P - 1`` frames,
-    from a phase-0 frame on, are overlap-added. Every sample between them
-    sums the same squared-window terms, in the same phase order, as the
-    sample ``P*hop`` before it, so one period of the first frames' sum is
-    copied across the middle, and the result equals an overlap-add of
-    every frame bit for bit.
-    """
-    n, hop = cfg.fft_size, cfg.hop
-    phases = -(-n // hop)
-    stride = phases * hop
-    edge = 2 * phases
-    if n_frames <= 3 * edge:
-        acc = _squared_window_ola(cfg, n_frames)
-    else:
-        head = _squared_window_ola(cfg, edge)  # exact before sample edge * hop
-        first = (n_frames - edge) // phases * phases
-        tail = _squared_window_ola(cfg, n_frames - first)  # exact from n - hop on
-        start, stop = edge * hop, first * hop + n - hop
-        acc = np.empty(_synthesis_length(cfg, n_frames))
-        acc[:start] = head[:start]
-        rows = -(-(stop - start) // stride)
-        acc[start : start + rows * stride].reshape(rows, stride)[:] = head[stride:start]
-        acc[stop:] = tail[n - hop :]
     lead = _lead_pad(cfg)
-    out_len = (n_frames - 1) * hop + n
+    out_len = (n_frames - 1) * cfg.hop + cfg.fft_size
     wsum = acc[lead : lead + min(original_length, out_len - lead)]
     if wsum.size and wsum.min() < WSUM_FLOOR:
         raise ValueError(
@@ -267,25 +231,20 @@ def _window_sum(cfg: StftConfig, n_frames: int, original_length: int) -> np.ndar
 
 def _invert_into(
     acc: np.ndarray,
-    frames: np.ndarray,
     bins: np.ndarray,
     mask: Optional[np.ndarray],
     wsum: np.ndarray,
     cfg: StftConfig,
 ) -> None:
     """Overlap-add the windowed inverse of ``bins * mask`` into the zeroed
-    ``acc`` block by block, then divide the kept samples by ``wsum``. Each
-    block is masked, inverted and windowed ``SUB_FRAMES`` frames at a time
-    into the ``(BLOCK_FRAMES, N)`` buffer ``frames``, then overlap-added."""
+    ``acc`` block by block, then divide the kept samples by ``wsum``."""
     win = _window(cfg.fft_size)
     for s in range(0, len(bins), BLOCK_FRAMES):
         e = min(s + BLOCK_FRAMES, len(bins))
-        for a in range(s, e, SUB_FRAMES):
-            b = min(a + SUB_FRAMES, e)
-            block = bins[a:b] if mask is None else bins[a:b] * mask[a:b]
-            inverse = np.fft.irfft(block, n=cfg.fft_size, axis=1)
-            np.multiply(inverse, win, out=frames[a - s : b - s])
-        _overlap_add(acc[s * cfg.hop :], frames[: e - s], cfg.hop)
+        block = bins[s:e] if mask is None else bins[s:e] * mask[s:e]
+        frames = np.fft.irfft(block, n=cfg.fft_size, axis=1)
+        frames *= win
+        _overlap_add(acc[s * cfg.hop :], frames, cfg.hop)
     lead = _lead_pad(cfg)
     acc[lead : lead + len(wsum)] /= wsum
 
@@ -322,13 +281,9 @@ def istft_many(
     cfg, n_frames, length = layout
     wsum = _window_sum(cfg, n_frames, length)
     accs = [np.zeros(_synthesis_length(cfg, n_frames)) for _ in pairs]
-    buffers = [np.empty((min(n_frames, BLOCK_FRAMES), cfg.fft_size)) for _ in pairs]
     thread_map(
         lambda job: _invert_into(*job, wsum, cfg),
-        [
-            (acc, buf, spec.bins, mask)
-            for acc, buf, (spec, mask) in zip(accs, buffers, pairs)
-        ],
+        [(acc, spec.bins, mask) for acc, (spec, mask) in zip(accs, pairs)],
         threaded=n_frames > BLOCK_FRAMES,
     )
     lead, keep = _lead_pad(cfg), len(wsum)

@@ -638,6 +638,15 @@ def test_eval_scores_regions_in_id_order_past_nine(tmp_path):
     assert record["mode"] == "s_snr"
 
 
+def test_eval_region_ids_with_a_gap_exit_3(tmp_path, capsys):
+    def renumber(scene):
+        (scene / "region_2.wav").rename(scene / "region_9.wav")
+
+    err = _eval_malformed_scene(tmp_path, capsys, renumber)
+    assert "scene_0000 holds no region_2.wav reference" in err
+    assert not (tmp_path / "report.jsonl").exists()
+
+
 def test_eval_region_name_without_a_positive_id_exit_3(tmp_path, capsys):
     for name in ("region_0.wav", "region_x.wav", "region_02.wav", "region_.wav"):
 

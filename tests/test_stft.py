@@ -14,7 +14,6 @@ from regionsep import (
 )
 from regionsep.stft import (
     BLOCK_FRAMES,
-    SUB_FRAMES,
     _num_frames,
     _window_sum,
     istft_many,
@@ -22,10 +21,10 @@ from regionsep.stft import (
 )
 from helpers import oracle_istft, oracle_window_sum
 
-# one frame, inverse sub-block and block edges, and several blocks with a
+# one frame, 63 to 65 frames, block edges, and several blocks with a
 # partial last one
-B, S = BLOCK_FRAMES, SUB_FRAMES
-FRAME_COUNTS = (1, S - 1, S, S + 1, B - 1, B, B + 1, B + S + 1, 3 * B + 17)
+B = BLOCK_FRAMES
+FRAME_COUNTS = (1, 63, 64, 65, B - 1, B, B + 1, B + 65, 3 * B + 17)
 
 
 def _rel_l2(x, y):
@@ -217,8 +216,8 @@ def test_istft_keeps_original_length_beyond_frames():
 
 
 @pytest.mark.parametrize("hop", [512, 256, 384, 1024])
-def test_sub_blocked_istft_keeps_the_block_summation_order(hop):
-    # sub-blocks are overlap-added a whole block at a time, so the sums of
+def test_istft_keeps_the_block_summation_order(hop):
+    # each block's frames are overlap-added together, so the sums of
     # samples under three or more frames keep their order, bit for bit
     cfg = StftConfig(fft_size=1024, hop=hop, sample_rate=16000)
     rng = np.random.default_rng(hop)
@@ -237,9 +236,9 @@ def test_istft_many_of_nothing_is_empty():
 
 
 @pytest.mark.parametrize("hop", [512, 256, 384, 1024])
-def test_periodic_window_sum_equals_the_full_overlap_add(hop):
-    # the middle of the sum is one period copied across, its ends overlap-
-    # added over the first and last frames; every kept sample must match
+def test_window_sum_equals_the_oracle_overlap_add(hop):
+    # every kept sample, at frame counts around the block edges and over
+    # lengths shorter and longer than the frames cover
     cfg = StftConfig(fft_size=1024, hop=hop, sample_rate=16000)
     for n_frames in (1, 2, 5, 11, 12, 13, 63, 64, 65, 255, 256, 257, 3751):
         full = (n_frames - 1) * hop + 512
