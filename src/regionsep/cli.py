@@ -282,7 +282,7 @@ def cmd_separate(args) -> int:
     cfg = _separation_config(params)
     signal = read_wav(args.input)
     if not isinstance(signal, BinauralSignal):
-        raise ConfigError("separate requires a stereo input file")
+        raise ConfigError(f"{args.input} is mono: separate requires a stereo file")
     _check_rate(f"input {args.input}", signal.sample_rate, cfg)
     if len(signal) < cfg.min_input_samples:
         raise ConfigError(

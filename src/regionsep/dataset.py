@@ -48,7 +48,6 @@ PROVENANCE_CLEAN = "clean"
 PROVENANCE_SINGLE = "stage1_single"
 PROVENANCE_SEPARATED = "stage1_separated"
 
-_PAIR_DRAW_LIMIT = 1000
 _SAMPLE_BYTES = np.dtype(np.float64).itemsize  # a sample store's element
 
 
@@ -107,18 +106,19 @@ def draw_mixture_params(
     delta_tau_min: float,
     delta_tau_max: float,
 ) -> Tuple[str, float, str, float]:
-    """Two distinct sources at azimuths whose model ITDs differ enough."""
+    """Two distinct sources at azimuths whose model ITDs differ enough.
+
+    Azimuth pairs are drawn until one qualifies; ``check_pair_gap`` first
+    proves that one exists, so the draw ends.
+    """
     if len(pool_ids) < 2:
         raise ValueError("need at least 2 pool sources")
-    for _ in range(_PAIR_DRAW_LIMIT):
+    check_pair_gap(azimuths, delta_tau_min, delta_tau_max)
+    while True:
         az1, az2 = rng.choice(azimuths, size=2, replace=True)
         if _itd_gap(float(az1), float(az2), delta_tau_max) >= delta_tau_min:
             i, j = rng.choice(len(pool_ids), size=2, replace=False)
             return pool_ids[int(i)], float(az1), pool_ids[int(j)], float(az2)
-    raise ValueError(
-        "HRIR bank too sparse to satisfy the ITD-gap constraint "
-        f"(delta_tau_min={delta_tau_min})"
-    )
 
 
 def check_pair_gap(
@@ -127,6 +127,8 @@ def check_pair_gap(
     """Raise ValueError unless the two of ``azimuths`` widest apart in ITD
     are at least ``delta_tau_min`` apart, so ``draw_mixture_params`` has a
     pair to draw."""
+    if len(azimuths) == 0:
+        raise ValueError("HRIR bank has no two azimuths: it has no azimuth")
     by_itd = sorted(azimuths, key=lambda az: spherical_itd(float(az), delta_tau_max))
     lo, hi = float(by_itd[0]), float(by_itd[-1])
     widest = _itd_gap(lo, hi, delta_tau_max)

@@ -17,8 +17,6 @@ from .stft import BLOCK_FRAMES, Spectrogram
 
 MAG_FLOOR = 1e-12
 DEFAULT_ENERGY_FLOOR_DB = 30.0
-# NumPy computes ``a * b`` in place in a temporary operand of this size or more
-_NUMPY_ELIDE_BYTES = 256 * 1024
 
 
 def aliasing_frequency(delta_tau_max: float) -> float:
@@ -127,11 +125,9 @@ def compute_features(
     differently in the last bit, which would move the ITDs.
 
     With fused multiply-adds a complex product is not symmetric in its
-    operands in the last bit. NumPy evaluates ``M_l * conj(M_r)`` as
-    ``conj(M_r) *= M_l`` when the conjugate is a temporary of 256 KiB or
-    more (32 frames at 513 bins), so the operand order follows the size
-    of the whole grid, not of the block: a short last block keeps the
-    bits of a long grid, and a short grid keeps its own.
+    operands in the last bit, so the cross-spectrum is always
+    ``conj(M_r) * M_l``, computed in place in the conjugate: one operand
+    order at every grid and block size.
     """
     if spec_left.bins.shape != spec_right.bins.shape:
         raise ValueError(
@@ -146,7 +142,6 @@ def compute_features(
     lo = _low_bins(k_alias, cfg.num_bins)
     omega = 2.0 * np.pi * (np.arange(cfg.num_bins) * cfg.bin_hz)[None, lo]
 
-    conj_first = spec_right.bins.nbytes >= _NUMPY_ELIDE_BYTES
     itd_low = np.empty((n_frames, lo.stop - 1))
     ild = np.empty((n_frames, cfg.num_bins))
     energy = np.empty((n_frames, cfg.num_bins))
@@ -155,10 +150,7 @@ def compute_features(
         rows = slice(s, min(s + BLOCK_FRAMES, n_frames))
         ml, mr = spec_left.bins[rows], spec_right.bins[rows]
         cross = np.conj(mr)
-        if conj_first:
-            np.multiply(cross, ml, out=cross)
-        else:
-            cross = np.multiply(ml, cross)
+        cross *= ml
         itd_low[rows] = _wrap_phase(np.angle(cross[:, lo])) / omega
         del cross
         abs_l = np.abs(ml)

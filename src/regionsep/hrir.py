@@ -72,18 +72,15 @@ def save_hrir_bank(bank: HrirBank, path) -> None:
 
 def load_hrir_bank(path) -> HrirBank:
     data = Path(path).read_bytes()
-    if len(data) < len(BANK_MAGIC) + 12 or data[: len(BANK_MAGIC)] != BANK_MAGIC:
-        raise AudioFormatError("not an HRIR bank file")
-    pos = len(BANK_MAGIC)
-    version, sample_rate, count = struct.unpack_from("<III", data, pos)
-    pos += 12
-    if version != BANK_VERSION:
-        raise AudioFormatError(f"unsupported bank version {version}")
-    if count == 0:
-        raise AudioFormatError("empty HRIR bank")
-
-    entries = {}
     try:
+        if len(data) < len(BANK_MAGIC) + 12 or not data.startswith(BANK_MAGIC):
+            raise AudioFormatError("not an HRIR bank file")
+        pos = len(BANK_MAGIC)
+        version, sample_rate, count = struct.unpack_from("<III", data, pos)
+        pos += 12
+        if version != BANK_VERSION:
+            raise AudioFormatError(f"unsupported bank version {version}")
+        entries = {}
         for _ in range(count):
             if pos + 12 > len(data):
                 raise AudioFormatError("truncated HRIR bank")
@@ -100,5 +97,6 @@ def load_hrir_bank(path) -> HrirBank:
                 raise AudioFormatError(f"duplicate azimuth {azimuth}")
             entries[azimuth] = (Waveform(left, sample_rate), Waveform(right, sample_rate))
         return HrirBank(entries=entries, sample_rate=sample_rate)
-    except ValueError as exc:  # also a rate of 0, a NaN tap or a bad azimuth
+    except ValueError as exc:
+        # also no entry, a rate of 0, a NaN tap or a bad azimuth (``HrirBank``)
         raise AudioFormatError(f"HRIR bank {path}: {exc}") from exc

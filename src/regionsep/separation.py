@@ -172,9 +172,6 @@ def aliased_frequency_masks(
     mask1 = np.zeros(shape, dtype=bool)
     mask2 = np.zeros(shape, dtype=bool)
     hi = slice(grid.aliasing_bin, shape[1])
-    if grid.aliasing_bin >= shape[1]:
-        return mask1, mask2
-
     ild_hi = grid.ild[:, hi]
     ild1 = ild_hi[frames1].mean(axis=0)
     ild2 = ild_hi[frames2].mean(axis=0)
@@ -198,10 +195,6 @@ def aliased_frequency_masks(
 
 
 def separate(m: BinauralSignal, cfg: SeparationConfig) -> SeparationOutcome:
-    if m.sample_rate != cfg.stft.sample_rate:
-        raise ValueError(
-            f"input rate {m.sample_rate} != config rate {cfg.stft.sample_rate}"
-        )
     if len(m) < cfg.min_input_samples:
         raise ValueError(
             f"input too short: {len(m)} samples, need at least "

@@ -100,7 +100,11 @@ class Spectrogram:
     original_length: int
 
     def __post_init__(self):
-        _check_bins_shape(self.bins, self.config)
+        if self.bins.ndim != 2 or self.bins.shape[1] != self.config.num_bins:
+            raise ValueError(
+                f"bins shape {self.bins.shape} inconsistent with fft_size "
+                f"{self.config.fft_size}"
+            )
         if self.bins.size and not np.all(np.isfinite(self.bins)):
             raise ValueError("spectrogram contains non-finite entries")
 
@@ -112,19 +116,12 @@ class Spectrogram:
         return Spectrogram(self.bins * mask, self.config, self.original_length)
 
 
-def _check_bins_shape(bins: np.ndarray, config: StftConfig) -> None:
-    if bins.ndim != 2 or bins.shape[1] != config.num_bins:
-        raise ValueError(
-            f"bins shape {bins.shape} inconsistent with fft_size {config.fft_size}"
-        )
-
-
 def _computed_spectrogram(
     bins: np.ndarray, config: StftConfig, original_length: int
 ) -> Spectrogram:
-    """A Spectrogram of bins ``stft_many`` computed: the shape is checked, the
-    bins are not scanned (``compute_features`` checks their energy peak)."""
-    _check_bins_shape(bins, config)
+    """A Spectrogram of the ``(frames, config.num_bins)`` bins ``stft_many``
+    allocated and computed: they are not scanned (``compute_features``
+    checks their energy peak)."""
     spec = object.__new__(Spectrogram)
     object.__setattr__(spec, "bins", bins)
     object.__setattr__(spec, "config", config)

@@ -32,16 +32,7 @@ from regionsep.scenes import (
     region_of_azimuth,
 )
 from regionsep.signals import band_noise_source
-from regionsep.stft import (
-    BLOCK_FRAMES,
-    WSUM_FLOOR,
-    Spectrogram,
-    _lead_pad,
-    _overlap_add,
-    _synthesis_length,
-    _window,
-    padded_frames,
-)
+from regionsep.stft import BLOCK_FRAMES, WSUM_FLOOR, Spectrogram, padded_frames
 
 SR = 16000
 DTM = SeparationConfig().delta_tau_max  # seconds
@@ -166,14 +157,18 @@ def tree_digest(root) -> str:
 
 # ------------------------------------------------- whole-array oracles
 #
-# The codec, the feature stage, the high-band masks and the squared-window
-# sum work in blocks or periods; these are their former whole-array
-# formulas, which the new code must equal bit for bit. The renderer's
-# oracle is the direct convolution it replaced; overlap-save sums in
-# another order, so it agrees to rounding. The scene oracle renders each
-# source whole and sums the regions afterwards, which ``synth_scene`` must
-# equal bit for bit. The log-density oracle stacks two separately built
-# rows, which the broadcast ``log_joint`` must equal bit for bit.
+# The codec, the feature stage and the high-band masks work in blocks;
+# these are their former whole-array formulas, which the new code must
+# equal bit for bit. The inverse STFT adds each block's frames, and the
+# squared-window sum every frame, phase by phase in strided views; their
+# oracles add one frame at a time in the same order, without the module's
+# overlap-add helper, and must equal them bit for bit at every hop. The
+# renderer's oracle is the direct convolution it replaced; overlap-save
+# sums in another order, so it agrees to rounding. The scene oracle
+# renders each source whole and sums the regions afterwards, which
+# ``synth_scene`` must equal bit for bit. The log-density oracle stacks
+# two separately built rows, which the broadcast ``log_joint`` must equal
+# bit for bit.
 
 
 def oracle_write_wav(signal, path) -> int:
@@ -218,12 +213,13 @@ def oracle_features(
 ) -> dict:
     """Full-grid ``itd``, ``ild``, ``energy`` and ``excluded``, computed whole.
 
-    ``ml * np.conj(mr)`` stays as written: NumPy's temporary elision picks
-    its operand order by the grid's size, and the blocked code must follow.
+    The cross-spectrum is ``np.conj(mr) * ml``, the operand order the
+    blocked code uses at every size; with fused multiply-adds the other
+    order may round differently in the last bit.
     """
     cfg = spec_left.config
     ml, mr = spec_left.bins, spec_right.bins
-    cross = ml * np.conj(mr)
+    cross = np.conj(mr) * ml
     k_alias = int(np.ceil(f_aliasing / cfg.bin_hz))
     freqs = np.arange(cfg.num_bins) * cfg.bin_hz
     itd = np.full(cross.shape, np.nan)
@@ -338,35 +334,50 @@ def oracle_aliased_frequency_masks(grid, frames1, frames2):
     return mask1, mask2
 
 
+def _hann(n: int) -> np.ndarray:
+    """The half-sample-shifted Hann window of the STFT module docstring."""
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * (np.arange(n) + 0.5) / n)
+
+
+def _phase_ordered_overlap_add(acc, frames, first: int, cfg) -> None:
+    """Add ``frames[k]`` into ``acc[t*hop : t*hop + N]`` with ``t = first + k``,
+    one frame at a time: by phase ``k mod ceil(N/hop)``, then by time. That
+    is the order in which the phase-wise overlap-add sums each sample's
+    terms."""
+    n, hop = cfg.fft_size, cfg.hop
+    phases = -(-n // hop)
+    for r in range(phases):
+        for k in range(r, len(frames), phases):
+            t = first + k
+            acc[t * hop : t * hop + n] += frames[k]
+
+
 def oracle_window_sum(cfg, n_frames: int, original_length: int) -> np.ndarray:
     """The squared-window overlap sum over the samples an inversion keeps,
-    overlap-added over every frame."""
-    win = _window(cfg.fft_size)
-    acc = np.zeros(_synthesis_length(cfg, n_frames))
-    _overlap_add(acc, np.broadcast_to(win * win, (n_frames, cfg.fft_size)), cfg.hop)
-    lead = _lead_pad(cfg)
-    out_len = (n_frames - 1) * cfg.hop + cfg.fft_size
-    wsum = acc[lead : lead + min(original_length, out_len - lead)]
+    added frame by frame over every frame, in phase order."""
+    n, lead = cfg.fft_size, cfg.fft_size // 2
+    w2 = _hann(n) ** 2
+    acc = np.zeros((n_frames - 1) * cfg.hop + n)
+    _phase_ordered_overlap_add(acc, np.broadcast_to(w2, (n_frames, n)), 0, cfg)
+    wsum = acc[lead : lead + min(original_length, len(acc) - lead)]
     if np.any(wsum < WSUM_FLOOR):
         raise ValueError("overlapped squared-window sum underflows the 1e-12 floor")
     return wsum
 
 
 def oracle_istft(spec, mask=None) -> np.ndarray:
-    """The inverse of ``spec.bins * mask`` with each ``BLOCK_FRAMES`` block
-    masked, inverted and windowed whole, over the full window sum: the
+    """The inverse of ``spec.bins * mask``: the windowed inverse of every
+    frame, added frame by frame in phase order within each ``BLOCK_FRAMES``
+    block, block after block, over ``oracle_window_sum``. That is the
     summation order ``istft_many`` keeps at every hop."""
     cfg, n_frames = spec.config, spec.num_frames
-    win = _window(cfg.fft_size)
-    acc = np.zeros(_synthesis_length(cfg, n_frames))
+    n, lead = cfg.fft_size, cfg.fft_size // 2
+    bins = spec.bins if mask is None else spec.bins * mask
+    frames = np.fft.irfft(bins, n=n, axis=1) * _hann(n)
+    acc = np.zeros((n_frames - 1) * cfg.hop + n)
     for s in range(0, n_frames, BLOCK_FRAMES):
-        e = min(s + BLOCK_FRAMES, n_frames)
-        block = spec.bins[s:e] if mask is None else spec.bins[s:e] * mask[s:e]
-        frames = np.fft.irfft(block, n=cfg.fft_size, axis=1)
-        frames *= win
-        _overlap_add(acc[s * cfg.hop :], frames, cfg.hop)
+        _phase_ordered_overlap_add(acc, frames[s : s + BLOCK_FRAMES], s, cfg)
     wsum = oracle_window_sum(cfg, n_frames, spec.original_length)
-    lead = _lead_pad(cfg)
     out = acc[lead : lead + len(wsum)] / wsum
     return np.concatenate([out, np.zeros(spec.original_length - len(wsum))])
 

@@ -503,6 +503,101 @@ def test_malformed_file_content_exit_3_naming_the_file(tmp_path, capsys):
         assert not out.exists(), argv
 
 
+def test_malformed_file_structure_exit_3_naming_the_file(tmp_path, capsys):
+    # WAV chunk layouts and bank headers that the parsers reject
+    pcm = wav_bytes(1, 2, SR, 16, bytes(16000))
+    bank = _bank_bytes(SR, [(0.0, [1.0]), (90.0, [1.0])])  # 28 bytes an entry
+    version = len(BANK_MAGIC)
+    files = {
+        "no_fmt.wav": pcm.replace(b"fmt ", b"LIST", 1),
+        # a 14-byte fmt chunk: the bits-per-sample field is cut off
+        "short_fmt.wav": pcm[:16] + struct.pack("<I", 14) + pcm[20:34] + pcm[36:],
+        "pcm24.wav": wav_bytes(1, 2, SR, 24, bytes(6 * 4000)),
+        "v2.hrir": bank[:version]
+        + struct.pack("<I", BANK_VERSION + 1)
+        + bank[version + 4 :],
+        "empty.hrir": _bank_bytes(SR, []),
+        # cut 5 bytes into the second entry's 12-byte header
+        "cut.hrir": bank[: len(bank) - 28 + 5],
+    }
+    cases = [
+        ("separate", "no_fmt.wav", "missing fmt or data chunk"),
+        ("separate", "short_fmt.wav", "fmt chunk too short"),
+        ("separate", "pcm24.wav", "unsupported encoding: format tag 1, 24-bit"),
+        ("synth", "v2.hrir", f"unsupported bank version {BANK_VERSION + 1}"),
+        ("synth", "empty.hrir", "HRIR bank must contain at least one entry"),
+        ("synth", "cut.hrir", "truncated HRIR bank"),
+    ]
+    for k, (command, name, reason) in enumerate(cases):
+        path = tmp_path / name
+        path.write_bytes(files[name])
+        flag = [str(path)] if command == "separate" else ["--hrir-bank", str(path)]
+        out = tmp_path / f"out{k}"
+        assert main([command, *flag, "--out", str(out)]) == 3, name
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error") and str(path) in err, err
+        assert err.rstrip().endswith(reason), err
+        assert not out.exists(), name
+
+
+def test_separate_mono_input_exit_2_naming_the_file(tmp_path, capsys):
+    wav = tmp_path / "mono.wav"
+    write_wav(Waveform(np.zeros(8000), SR), wav)
+    out = tmp_path / "out"
+    assert main(["separate", str(wav), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {wav} is mono")
+    assert not out.exists()
+
+
+def test_unexpected_exception_exit_4(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("a broken invariant")
+
+    monkeypatch.setattr(cli, "synth_scene", broken)
+    assert _synth(tmp_path / "out", num=1) == 4
+    assert capsys.readouterr().err == "internal error: a broken invariant\n"
+
+
+def test_unreadable_config_file_exit_2_before_writing(tmp_path, capsys):
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{delta_tau_max: 1e-3}")
+    for k, config in enumerate([tmp_path / "missing.json", not_json]):
+        out = tmp_path / f"out{k}"
+        assert _synth(out, extra=("--config", str(config))) == 2, config
+        assert "config error: cannot read config file" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_stereo_pool_source_exit_2_before_writing(tmp_path, capsys):
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    zeros = Waveform(np.zeros(8000), SR)
+    write_wav(zeros, pool / "a.wav")
+    write_wav(BinauralSignal(zeros, zeros), pool / "b.wav")
+    for command in ("synth", "dataset"):
+        out = tmp_path / command
+        assert main([command, "--pool", str(pool), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: pool sources must be mono: {pool / 'b.wav'}" in err
+        assert not out.exists()
+
+
+def test_eval_mono_estimate_exit_3(tmp_path, capsys):
+    refs = tmp_path / "refs"
+    assert _synth(refs, seed=5, num=1) == 0
+    est = tmp_path / "est" / "scene_0000"
+    est.mkdir(parents=True)
+    for path in (refs / "scene_0000").glob("region_*.wav"):
+        (est / path.name).write_bytes(path.read_bytes())
+    write_wav(read_wav(est / "region_2.wav").left, est / "region_2.wav")
+    report = tmp_path / "report.jsonl"
+    argv = ["eval", "--estimates", str(tmp_path / "est"), "--references", str(refs)]
+    assert main(argv + ["--out", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"I/O error: {est / 'region_2.wav'} is not stereo\n"
+    assert not report.exists()
+
+
 def test_sample_rate_mismatch_exit_2_before_writing(tmp_path, capsys):
     bank8k = tmp_path / "bank8k.bin"
     save_hrir_bank(make_spherical_bank([0.0, 90.0, 270.0], DTM, 8000), bank8k)
@@ -859,6 +954,15 @@ def test_sparse_hrir_bank_is_a_dataset_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error") and "no two azimuths" in err, err
         assert not out.exists()
+
+
+def test_dataset_with_rare_qualifying_pairs_exit_0(tmp_path):
+    # 18 of the built-in bank's 5184 ordered pairs are 1.77e-3 s apart in
+    # ITD: the bank passes the ITD-gap check, so every mixture finds a pair
+    out = tmp_path / "out"
+    argv = ["dataset", "--num", "12", "--delta-tau-min", "1.77e-3", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(read_manifest(out / "manifest.jsonl")) >= 12
 
 
 def test_eval_estimate_sample_rate_mismatch_exit_3(tmp_path, capsys):

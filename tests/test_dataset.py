@@ -56,8 +56,22 @@ def test_draw_mixture_params_constraints(pool):
         assert gap >= DTAU_MIN
     with pytest.raises(ValueError, match="at least 2"):
         draw_mixture_params(rng, ["only"], azimuths, DTAU_MIN, DTM)
-    with pytest.raises(ValueError, match="too sparse"):
+    with pytest.raises(ValueError, match="no two azimuths"):
         draw_mixture_params(rng, ids, np.array([0.0]), DTAU_MIN, DTM)
+    with pytest.raises(ValueError, match="no two azimuths"):
+        draw_mixture_params(rng, ids, np.array([]), DTAU_MIN, DTM)
+
+
+def test_draw_mixture_params_finds_a_rare_pair_at_every_seed(pool):
+    # at 1.77e-3 s only 18 of the 5184 ordered pairs of the 5-degree bank
+    # are far enough apart in ITD, about one draw in 288; the draw must
+    # find one at every seed, not give up after a fixed number of tries
+    ids = sorted(pool)
+    azimuths = spherical_bank().azimuths
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        _, az1, _, az2 = draw_mixture_params(rng, ids, azimuths, 1.77e-3, DTM)
+        assert abs(spherical_itd(az1, DTM) - spherical_itd(az2, DTM)) >= 1.77e-3
 
 
 def _constant_signal(value):

@@ -13,6 +13,7 @@ from regionsep import (
     compute_features,
     stft,
 )
+from regionsep.features import FeatureGrid
 from regionsep.stft import BLOCK_FRAMES, Spectrogram
 from helpers import oracle_features
 
@@ -135,6 +136,19 @@ def test_shape_mismatch_rejected():
     b = stft(Waveform(np.zeros(4096), 16000), cfg)
     with pytest.raises(ValueError, match="shape mismatch"):
         compute_features(a, b, 562.0)
+    # the same (frames, bins) shape at another sample rate
+    cfg8k = StftConfig(fft_size=1024, hop=512, sample_rate=8000)
+    c = stft(Waveform(np.zeros(2048), 8000), cfg8k)
+    with pytest.raises(ValueError, match="spectrogram configs differ"):
+        compute_features(a, c, 562.0)
+
+
+def test_feature_grid_rejects_an_itd_low_of_another_width():
+    full = np.zeros((4, 513))
+    grid = dict(ild=full, energy=full, excluded=full.astype(bool), aliasing_bin=36)
+    FeatureGrid(itd_low=np.zeros((4, 35)), **grid)  # bins 1 .. 35
+    with pytest.raises(ValueError, match=r"itd_low shape \(4, 34\) != \(4, 35\)"):
+        FeatureGrid(itd_low=np.zeros((4, 34)), **grid)
 
 
 def _random_spectrograms(rng, frames, cfg, loud_bins=None):
@@ -154,8 +168,9 @@ def _random_spectrograms(rng, frames, cfg, loud_bins=None):
 @pytest.mark.parametrize("f_aliasing", [562.0, 9000.0])  # 9 kHz: bin 576, past the grid
 @pytest.mark.parametrize(
     "frames",
-    # 31 and 32 frames lie either side of the 256 KiB at which NumPy
-    # switches the complex product's operand order
+    # 31 and 32 frames lie either side of the 256 KiB at which NumPy's
+    # temporary elision would turn ``ml * conj(mr)`` into ``conj(mr) *= ml``;
+    # the blocked code and the oracle use ``conj(mr) * ml`` at both
     [31, 32, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES,
      2 * BLOCK_FRAMES + 1, 3 * BLOCK_FRAMES + 1],
 )

@@ -64,6 +64,15 @@ def test_truncated_bank_rejected(tmp_path):
         load_hrir_bank(path)
 
 
+def test_save_rejects_unequal_ear_taps(tmp_path):
+    left, right = Waveform(np.zeros(4), 16000), Waveform(np.zeros(5), 16000)
+    bank = HrirBank(entries={45.0: (left, right)}, sample_rate=16000)
+    path = tmp_path / "uneven.hrir"
+    with pytest.raises(ValueError, match="tap count mismatch at azimuth 45.0"):
+        save_hrir_bank(bank, path)
+    assert not path.exists()
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.hrir"
     path.write_bytes(b"NOTABANK" + b"\x00" * 16)

@@ -78,6 +78,27 @@ def test_gmm_recovers_two_clusters():
     assert abs(c2.weight - 0.5) < 0.05
 
 
+def test_gmm_fits_the_weights_of_overlapping_components():
+    # one sigma apart in three, so every sample's responsibilities stay
+    # between 0 and 1 and the fit depends on the weights it updates
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.normal(0.0, 1.0, 1400), rng.normal(3.0, 1.0, 600)])
+    c1, c2, _ = fit_gmm2(x)
+    assert abs(c1.weight - 0.7) < 0.03
+    assert abs(c2.weight - 0.3) < 0.03
+    assert c1.weight + c2.weight == pytest.approx(1.0)
+
+
+def test_gmm_needs_min_samples():
+    low = [-3e-4, -3.1e-4, -2.9e-4, -3.05e-4, -2.95e-4]
+    x = low + [-v for v in low]
+    assert len(x) == itd_model.MIN_SAMPLES
+    c1, c2, _ = fit_gmm2(x)
+    assert c1.mean == pytest.approx(-3e-4) and c2.mean == pytest.approx(3e-4)
+    with pytest.raises(ValueError, match="need at least 10 samples, got 9"):
+        fit_gmm2(x[:9])
+
+
 def test_gmm_collapses_on_single_cluster():
     rng = np.random.default_rng(12)
     x = rng.normal(0.0, 2e-5, size=1000)

@@ -134,6 +134,8 @@ def test_region_loss_validation():
     )
     with pytest.raises(ValueError, match="expected 2"):
         region_loss(refs, [_zero_sig()])
+    with pytest.raises(ValueError, match="estimate/reference length mismatch"):
+        region_loss(refs, [_zero_sig(), _zero_sig(3)])
 
 
 def _demo_refs(active=(True, True, False)):
@@ -197,3 +199,5 @@ def test_evaluate_regions_requires_active():
     )
     with pytest.raises(ValueError, match="no active"):
         evaluate_regions(inactive, list(refs.region_signals))
+    with pytest.raises(ValueError, match="expected 3 estimates, got 2"):
+        evaluate_regions(refs, list(refs.region_signals)[:2])

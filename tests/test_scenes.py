@@ -62,6 +62,15 @@ def test_layout_validation():
         RegionLayout(regions=(((0.0, 100.0),), ((120.0, 360.0),)))
     with pytest.raises(ValueError, match="cover"):
         RegionLayout(regions=(((0.0, 100.0),), ((100.0, 350.0),)))
+    for lo, hi in ((200.0, 400.0), (-10.0, 200.0), (200.0, 200.0)):
+        with pytest.raises(ValueError, match="bad interval"):
+            RegionLayout(regions=(((0.0, 200.0),), ((lo, hi),)))
+
+
+def test_scene_source_gain_must_be_positive():
+    for gain in (0.0, -1.0):
+        with pytest.raises(ValueError, match="gain must be positive"):
+            SceneSource(source_id="a", azimuth=0.0, gain=gain)
 
 
 def test_spherical_itd_sign_convention():
@@ -276,6 +285,11 @@ def test_random_scene_determinism_and_k_range():
     for seed in range(10):
         spec = random_scene((2, 2), layout, bank, ["a"], seed=seed, duration=1.0)
         assert len(spec.sources) == 2
+    with pytest.raises(ValueError, match="source pool is empty"):
+        random_scene((2, 3), layout, bank, [], seed=0, duration=1.0)
+    for k_range in ((0, 2), (3, 2)):
+        with pytest.raises(ValueError, match="bad k_range"):
+            random_scene(k_range, layout, bank, ["a"], seed=0, duration=1.0)
 
 
 def test_random_scene_region_uniformity():

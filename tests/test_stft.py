@@ -217,8 +217,11 @@ def test_istft_keeps_original_length_beyond_frames():
 
 @pytest.mark.parametrize("hop", [512, 256, 384, 1024])
 def test_istft_keeps_the_block_summation_order(hop):
-    # each block's frames are overlap-added together, so the sums of
-    # samples under three or more frames keep their order, bit for bit
+    """Each sample's terms are summed in the order of a frame-by-frame
+    loop over each block's frames by phase, then by time, bit for bit at
+    every hop. The frame-loop test sums in time order, so where three or
+    more frames overlap (hops 256 and 384) it checks only to 1e-12; this
+    test pins the order there, which the output bits depend on."""
     cfg = StftConfig(fft_size=1024, hop=hop, sample_rate=16000)
     rng = np.random.default_rng(hop)
     for n_frames in FRAME_COUNTS[1:]:
@@ -237,8 +240,12 @@ def test_istft_many_of_nothing_is_empty():
 
 @pytest.mark.parametrize("hop", [512, 256, 384, 1024])
 def test_window_sum_equals_the_oracle_overlap_add(hop):
-    # every kept sample, at frame counts around the block edges and over
-    # lengths shorter and longer than the frames cover
+    """``_window_sum`` alone equals a frame-by-frame sum of the squared
+    window in phase order, bit for bit at every hop: every kept sample, at
+    frame counts up to 3751 and over lengths shorter and longer than the
+    frames cover. The frame-loop test sees the window sum only through
+    whole inversions, at one length per frame count and, where three or
+    more frames overlap, only to 1e-12."""
     cfg = StftConfig(fft_size=1024, hop=hop, sample_rate=16000)
     for n_frames in (1, 2, 5, 11, 12, 13, 63, 64, 65, 255, 256, 257, 3751):
         full = (n_frames - 1) * hop + 512
