@@ -32,6 +32,13 @@ def max_wav_frames(channels: int) -> int:
     return (2**32 - 37) // (2 * channels)
 
 
+def max_wav_rate(channels: int) -> int:
+    """The highest sample rate a PCM-16 WAV file of ``channels`` channels
+    declares: (2**32 - 1) // 4 for stereo. The header's byte rate, the
+    rate times 2 bytes per channel, is a 32-bit field."""
+    return (2**32 - 1) // (2 * channels)
+
+
 class AudioFormatError(ValueError):
     """Raised for malformed or unsupported WAV / bank files."""
 
@@ -202,8 +209,9 @@ def write_wav(signal: AnySignal, path) -> int:
 
     Samples outside [-1, 1] are clipped; returns the number of clipped
     samples. Round trip with read_wav is within one quantization step. A
-    signal longer than ``max_wav_frames`` raises ValueError before anything
-    is allocated or written.
+    signal longer than ``max_wav_frames``, or at a rate above
+    ``max_wav_rate``, raises ValueError before anything is allocated or
+    written.
 
     Samples are encoded ``ENCODE_BLOCK`` frames at a time into one int16
     array, through one reused float buffer: scale by 32768, round half
@@ -219,6 +227,11 @@ def write_wav(signal: AnySignal, path) -> int:
         raise ValueError(
             f"{n} frames do not fit a {channels}-channel PCM-16 WAV file, "
             f"which holds at most {max_wav_frames(channels)}"
+        )
+    if signal.sample_rate > max_wav_rate(channels):
+        raise ValueError(
+            f"sample rate {signal.sample_rate} does not fit a {channels}-channel "
+            f"PCM-16 WAV header, which holds at most {max_wav_rate(channels)}"
         )
 
     ints = np.empty((n, channels), dtype="<i2")

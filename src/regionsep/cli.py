@@ -38,7 +38,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioFormatError, BinauralSignal, max_wav_frames, read_wav, write_wav
+from .audio import (
+    AudioFormatError,
+    BinauralSignal,
+    max_wav_frames,
+    max_wav_rate,
+    read_wav,
+    write_wav,
+)
 from .dataset import (
     PROVENANCE_SINGLE,
     DirtyBuildStats,
@@ -138,6 +145,11 @@ def _load_params(args) -> dict:
             params[key] = flag
     if params["seed"] < 0:
         raise ConfigError(f"--seed must be at least 0, got {params['seed']}")
+    if params["sample_rate"] > max_wav_rate(2):
+        raise ConfigError(
+            f"--sample-rate {params['sample_rate']} is above the "
+            f"{max_wav_rate(2)} Hz a stereo WAV file holds"
+        )
     return params
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .parallel import thread_map
-from .stft import BLOCK_FRAMES, Spectrogram
+from .stft import Spectrogram, frame_blocks
 
 MAG_FLOOR = 1e-12
 DEFAULT_ENERGY_FLOOR_DB = 30.0
@@ -79,20 +79,10 @@ class FeatureGrid:
         return self.itd_low[self.valid_low]
 
     def frame_energy(self, mask: np.ndarray) -> np.ndarray:
-        """``(self.energy * mask).sum(axis=1)`` for a mask that is False at
-        and above the aliasing bin, bit for bit, reading few columns.
-
-        NumPy sums a row in eight interleaved partial sums over leaves of
-        at most 128 columns and adds a leaf's leftover columns one by one.
-        The masked columns add exact zeros, so the full-width sum equals
-        the sum over the first ``w`` columns when ``w`` is a multiple of 8
-        up to 128 that covers the low bins; a narrower width, such as the
-        36 low bins themselves, rounds differently in the last bit.
-        """
-        width = -(-self.low_bins.stop // 8) * 8
-        if width > min(128, self.energy.shape[1]):
-            width = self.energy.shape[1]
-        return (self.energy[:, :width] * mask[:, :width]).sum(axis=1)
+        """Each frame's energy in the bins of ``mask``, a mask of the low band
+        (False outside ``low_bins``), summed over ``low_bins`` alone."""
+        lo = self.low_bins
+        return (self.energy[:, lo] * mask[:, lo]).sum(axis=1)
 
 
 def _low_bins(k_alias: int, num_bins: int) -> slice:
@@ -110,18 +100,17 @@ def compute_features(
     f_aliasing: float,
     energy_floor_db: float = DEFAULT_ENERGY_FLOOR_DB,
 ) -> FeatureGrid:
-    """Interaural features of two spectrograms, ``BLOCK_FRAMES`` frames at a time.
+    """Interaural features of two spectrograms, block by block (``stft.frame_blocks``).
 
     Blocks run on threads when there are several (``parallel.thread_map``).
     Each block fills its rows of arrays allocated here and returns its
     energy peak; the floor mask follows from the global peak. A block peak
     that is not finite raises ``ValueError``: this is where the bins
-    ``stft_many`` computes, which it does not scan, are checked. The results
-    equal a whole-grid computation bit for bit: every elementwise step
-    takes whole rows and a block starts a multiple of 256 rows into the
-    grid, so each value keeps its lane in NumPy's vector loops. That is
-    why the complex product spans whole rows though the phase is taken
-    below the aliasing bin only: a narrow slice of it may round
+    ``stft_many`` computes, which it does not scan, are checked. Every
+    elementwise step takes whole rows of a block, so the results equal a
+    whole-grid computation bit for bit (``stft.frame_blocks`` says why).
+    That is why the complex product spans whole rows though the phase is
+    taken below the aliasing bin only: a narrow slice of it may round
     differently in the last bit, which would move the ITDs.
 
     With fused multiply-adds a complex product is not symmetric in its
@@ -146,8 +135,7 @@ def compute_features(
     ild = np.empty((n_frames, cfg.num_bins))
     energy = np.empty((n_frames, cfg.num_bins))
 
-    def fill(s: int) -> float:
-        rows = slice(s, min(s + BLOCK_FRAMES, n_frames))
+    def fill(rows: slice) -> float:
         ml, mr = spec_left.bins[rows], spec_right.bins[rows]
         cross = np.conj(mr)
         cross *= ml
@@ -163,7 +151,7 @@ def compute_features(
         block += abs_r
         return block.max()
 
-    peaks = thread_map(fill, range(0, n_frames, BLOCK_FRAMES), threaded=True)
+    peaks = thread_map(fill, frame_blocks(n_frames), threaded=True)
     # the spectrograms' one finiteness check: a NaN or Inf bin, or bins
     # whose energy overflows, makes its block's peak NaN or Inf
     if not all(np.isfinite(p) for p in peaks):

@@ -243,18 +243,18 @@ def _overlap_save_add(
     groups: Iterable[Tuple[int, int, np.ndarray]],
     h_left: np.ndarray,
     h_right: np.ndarray,
+    taps: int,
     gain: float,
     left: np.ndarray,
     right: np.ndarray,
 ) -> None:
     """Add ``gain`` times a source convolved with each ear's taps into
-    ``left`` and ``right``, from the source's ``_block_groups``.
+    ``left`` and ``right``, from the source's ``_block_groups`` for ``taps``.
 
     Each group's blocks are multiplied by both ears' spectra and inverted
     once; per ear, its kept samples are scaled by ``gain`` and added into
     ``out[a:b]``. Outputs past the last group are left as they are.
     """
-    taps = max(len(h_left), len(h_right))
     n_fft = _fft_size(taps)
     spectra = np.stack(
         [np.fft.rfft(h_left, n=n_fft), np.fft.rfft(h_right, n=n_fft)]
@@ -267,15 +267,15 @@ def _overlap_save_add(
 
 def _hrir_pair(
     wave: Waveform, bank: HrirBank, azimuth: float
-) -> Tuple[float, np.ndarray, np.ndarray]:
-    """The snapped azimuth of a source and the taps of its HRIR pair."""
+) -> Tuple[float, np.ndarray, np.ndarray, int]:
+    """The snapped azimuth of a source, its HRIR pair's taps and tap count."""
     if wave.sample_rate != bank.sample_rate:
         raise ValueError(
             f"source rate {wave.sample_rate} != bank rate {bank.sample_rate}"
         )
     snapped = bank.nearest_azimuth(azimuth)
     h_left, h_right = bank.entries[snapped]
-    return snapped, h_left.samples, h_right.samples
+    return snapped, h_left.samples, h_right.samples, max(len(h_left), len(h_right))
 
 
 def _written_zeros(n: int) -> np.ndarray:
@@ -365,8 +365,7 @@ def synth_scene(
     sums = _RegionSums(layout.num_regions, n_out, sr)
     for src in spec.sources:
         wave = pool[src.source_id]
-        snapped, h_left, h_right = _hrir_pair(wave, bank, src.azimuth)
-        taps = max(len(h_left), len(h_right))
+        snapped, h_left, h_right, taps = _hrir_pair(wave, bank, src.azimuth)
         if memo is None:
             groups = _block_groups(wave.samples, taps, n_out)
         else:
@@ -375,7 +374,7 @@ def synth_scene(
                 memo[key] = list(_block_groups(wave.samples, taps, n_out))
             groups = memo[key]
         left, right = sums.channels(region_of_azimuth(layout, snapped))
-        _overlap_save_add(groups, h_left, h_right, src.gain, left, right)
+        _overlap_save_add(groups, h_left, h_right, taps, src.gain, left, right)
     return sums.mixture_set()
 
 
@@ -385,10 +384,10 @@ def render_binaural_source(
     """One source rendered through its snapped-azimuth HRIR pair, a group
     of blocks at a time."""
     n_out = int(round(duration * bank.sample_rate))
-    _, h_left, h_right = _hrir_pair(wave, bank, azimuth)
+    _, h_left, h_right, taps = _hrir_pair(wave, bank, azimuth)
     left, right = _written_zeros(n_out), _written_zeros(n_out)
-    groups = _block_groups(wave.samples, max(len(h_left), len(h_right)), n_out)
-    _overlap_save_add(groups, h_left, h_right, gain, left, right)
+    groups = _block_groups(wave.samples, taps, n_out)
+    _overlap_save_add(groups, h_left, h_right, taps, gain, left, right)
     return BinauralSignal(
         Waveform(left, bank.sample_rate), Waveform(right, bank.sample_rate)
     )

@@ -31,7 +31,7 @@ from .itd_model import (
     classify_itds,
     log_joint,
 )
-from .stft import BLOCK_FRAMES, StftConfig, clustering_config, istft_many, stft_many
+from .stft import StftConfig, clustering_config, frame_blocks, istft_many, stft_many
 
 REASON_NO_DOMINANT_FRAMES = "no_dominant_frames"
 
@@ -182,8 +182,7 @@ def aliased_frequency_masks(
     # side1 in {-1, 0, 1} and a finite difference, the difference times
     # side1 has the same sign (a zero of either sign passes), so each block
     # tests that product in place
-    for s in range(0, shape[0], BLOCK_FRAMES):
-        rows = slice(s, s + BLOCK_FRAMES)
+    for rows in frame_blocks(shape[0]):
         d = ild_hi[rows] - threshold
         d *= side1
         to_first = d >= 0.0

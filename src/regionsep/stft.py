@@ -16,14 +16,14 @@ leaks only into adjacent bins) while being strictly positive at every
 sample, so the squared-window-sum division reconstructs every sample of
 the input exactly, edges included.
 
-Both transforms work in blocks of ``BLOCK_FRAMES`` frames, so their
-transient memory is a few megabytes per block, not a copy of the whole
-recording. Analysis zero-pads and windows one block of frames at a time
-and writes its ``rfft`` rows into a preallocated ``(frames, bins)``
-array; each row is an independent transform, so the bins equal one
-``rfft`` of the whole frame matrix. Synthesis masks, inverts and windows
-one block at a time and overlap-adds the block's frames straight into
-the output.
+Both transforms work in the ``BLOCK_FRAMES``-frame blocks of
+``frame_blocks``, so their transient memory is a few megabytes per
+block, not a copy of the whole recording. Analysis zero-pads and
+windows one block of frames at a time and writes its ``rfft`` rows into
+a preallocated ``(frames, bins)`` array; each row is an independent
+transform, so the bins equal one ``rfft`` of the whole frame matrix.
+Synthesis masks, inverts and windows one block at a time and
+overlap-adds the block's frames straight into the output.
 
 The overlap-add within a block is phase-wise. With ``P = ceil(N/hop)``,
 frames ``r, r+P, r+2P, ...`` start ``P*hop >= N`` samples apart and never
@@ -144,6 +144,20 @@ def _num_frames(length: int, cfg: StftConfig) -> int:
     return 1 + (_lead_pad(cfg) + max(length, 1) - 1) // cfg.hop
 
 
+def frame_blocks(n_frames: int) -> List[slice]:
+    """The row slices of an ``n_frames``-frame grid's ``BLOCK_FRAMES``-frame
+    blocks: the one partition of every blocked pass over a spectrogram grid.
+
+    Each block starts a multiple of 256 rows in, so an elementwise step
+    over a block's whole rows gives each value its lane in NumPy's vector
+    loops over the whole grid, and so the bits of a whole-grid computation;
+    a narrower slice may round differently in the last bit. The inverse
+    STFT's summation order is one block after another.
+    """
+    starts = range(0, n_frames, BLOCK_FRAMES)
+    return [slice(s, min(s + BLOCK_FRAMES, n_frames)) for s in starts]
+
+
 def stft(x: Waveform, cfg: StftConfig) -> Spectrogram:
     """The spectrogram of ``x``, scanned: ``ValueError`` if a bin overflows."""
     (spec,) = stft_many([x], cfg)
@@ -185,10 +199,10 @@ def _analyse_into(bins: np.ndarray, samples: np.ndarray, cfg: StftConfig) -> Non
     """Fill ``bins`` with the lead-padded signal's frame spectra, block by block."""
     n, hop = cfg.fft_size, cfg.hop
     win = _window(n)
-    for s in range(0, len(bins), BLOCK_FRAMES):
-        e = min(s + BLOCK_FRAMES, len(bins))
-        frames = padded_frames(samples, s * hop - _lead_pad(cfg), e - s, n, hop)
-        bins[s:e] = np.fft.rfft(frames * win, axis=1)
+    for rows in frame_blocks(len(bins)):
+        first = rows.start * hop - _lead_pad(cfg)
+        frames = padded_frames(samples, first, rows.stop - rows.start, n, hop)
+        bins[rows] = np.fft.rfft(frames * win, axis=1)
 
 
 def _synthesis_length(cfg: StftConfig, n_frames: int) -> int:
@@ -236,12 +250,11 @@ def _invert_into(
     """Overlap-add the windowed inverse of ``bins * mask`` into the zeroed
     ``acc`` block by block, then divide the kept samples by ``wsum``."""
     win = _window(cfg.fft_size)
-    for s in range(0, len(bins), BLOCK_FRAMES):
-        e = min(s + BLOCK_FRAMES, len(bins))
-        block = bins[s:e] if mask is None else bins[s:e] * mask[s:e]
+    for rows in frame_blocks(len(bins)):
+        block = bins[rows] if mask is None else bins[rows] * mask[rows]
         frames = np.fft.irfft(block, n=cfg.fft_size, axis=1)
         frames *= win
-        _overlap_add(acc[s * cfg.hop :], frames, cfg.hop)
+        _overlap_add(acc[rows.start * cfg.hop :], frames, cfg.hop)
     lead = _lead_pad(cfg)
     acc[lead : lead + len(wsum)] /= wsum
 

@@ -25,14 +25,9 @@ from regionsep import (
 )
 from regionsep.dataset import DirtyBuildStats, harvest_mixture
 from regionsep.parallel import seeded_tasks
-from regionsep.scenes import (
-    RENDER_GROUP_BLOCKS,
-    RegionMixtureSet,
-    _fft_size,
-    region_of_azimuth,
-)
+from regionsep.scenes import RegionMixtureSet, region_of_azimuth
 from regionsep.signals import band_noise_source
-from regionsep.stft import BLOCK_FRAMES, WSUM_FLOOR, Spectrogram, padded_frames
+from regionsep.stft import BLOCK_FRAMES, WSUM_FLOOR, Spectrogram
 
 SR = 16000
 DTM = SeparationConfig().delta_tau_max  # seconds
@@ -258,20 +253,34 @@ def oracle_single_gaussian_log_likelihood(samples) -> float:
 
 def oracle_overlap_save(x, h_left, h_right, n_out):
     """Each ear's first ``n_out`` samples of ``x`` convolved with its taps,
-    by the renderer's overlap-save groups, written whole into fresh zeros."""
+    by overlap-save one block at a time, written whole into fresh zeros.
+
+    The renderer's documented rules, restated: the FFT length is the
+    smallest power of two that is at least 1024 and at least 4 x taps;
+    block ``k`` is the ``n_fft`` input samples from ``k * step - (taps - 1)``
+    on (zeros outside ``x``), ``step = n_fft - taps + 1``, and the last
+    ``step`` samples of its circular convolution are the output's from
+    ``k * step`` on, up to the full convolution's ``len(x) + taps - 1``.
+    """
     taps = max(len(h_left), len(h_right))
-    n_fft = _fft_size(taps)
+    n_fft = 1024
+    while n_fft < 4 * taps:
+        n_fft *= 2
     step = n_fft - taps + 1
-    spectra = np.stack([np.fft.rfft(h_left, n=n_fft), np.fft.rfft(h_right, n=n_fft)])
-    left, right = np.zeros(n_out), np.zeros(n_out)
     n_valid = min(n_out, len(x) + taps - 1)
-    for a in range(0, n_valid, RENDER_GROUP_BLOCKS * step):
-        b = min(a + RENDER_GROUP_BLOCKS * step, n_valid)
-        frames = padded_frames(x, a - (taps - 1), -(-(b - a) // step), n_fft, step)
-        spectrum = np.fft.rfft(frames, axis=1)
-        y = np.fft.irfft(spectrum[:, None, :] * spectra, n=n_fft, axis=2)
-        left[a:b] = y[:, 0, taps - 1 :].reshape(-1)[: b - a]
-        right[a:b] = y[:, 1, taps - 1 :].reshape(-1)[: b - a]
+    n_blocks = -(-n_valid // step)
+    padded = np.zeros(max(n_blocks - 1, 0) * step + n_fft)
+    m = min(len(x), len(padded) - (taps - 1))
+    padded[taps - 1 : taps - 1 + m] = x[:m]
+    spectra = [np.fft.rfft(h, n=n_fft) for h in (h_left, h_right)]
+    left, right = np.zeros(n_out), np.zeros(n_out)
+    for k in range(n_blocks):
+        a = k * step
+        b = min(a + step, n_valid)
+        spectrum = np.fft.rfft(padded[a : a + n_fft])
+        for out, h_spectrum in zip((left, right), spectra):
+            y = np.fft.irfft(spectrum * h_spectrum, n=n_fft)
+            out[a:b] = y[taps - 1 : taps - 1 + b - a]
     return left, right
 
 

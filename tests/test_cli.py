@@ -30,7 +30,7 @@ from regionsep import (
     separate,
     write_wav,
 )
-from regionsep.audio import max_wav_frames
+from regionsep.audio import max_wav_frames, max_wav_rate
 from regionsep.cli import main
 from regionsep.dataset import harvest_mixture, store_records
 from regionsep.features import aliasing_bin
@@ -940,6 +940,32 @@ def test_duration_beyond_a_wav_file_exit_2_before_writing(tmp_path, capsys, monk
         else:
             with pytest.raises(cli.ConfigError, match=f"the {frames} frames"):
                 cli._checked_duration({"duration": duration}, cfg, 1)
+
+
+@pytest.mark.parametrize("command", ["synth", "dataset", "separate"])
+def test_sample_rate_beyond_a_wav_header_exit_2_before_writing(tmp_path, capsys, command):
+    # a stereo PCM-16 header's 32-bit byte rate field holds 4 bytes per frame
+    rate = max_wav_rate(2) + 1
+    argv = {
+        "synth": ["synth", "--num-scenes", "1", "--duration", "1e-8"],
+        "dataset": ["dataset", "--num", "1", "--duration", "1e-5"],
+        "separate": ["separate", str(tmp_path / "mix.wav")],
+    }[command]
+    mixture, *_ = two_source_scene(315.0, 45.0, seed=22, duration=1.0)
+    write_wav(mixture, tmp_path / "mix.wav")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sample_rate": rate}))
+    for k, source in enumerate((["--sample-rate", str(rate)], ["--config", str(config)])):
+        out = tmp_path / f"out{k}"
+        assert main([*argv, *source, "--out", str(out)]) == 2, source
+        err = capsys.readouterr().err
+        assert f"--sample-rate {rate} is above the {max_wav_rate(2)} Hz" in err, err
+        assert not out.exists()
+    if command == "synth":
+        # the highest rate a stereo file holds is accepted
+        out = tmp_path / "edge"
+        assert main([*argv, "--sample-rate", str(rate - 1), "--out", str(out)]) == 0
+        assert read_wav(out / "scene_0000" / "mixture.wav").sample_rate == rate - 1
 
 
 def test_sparse_hrir_bank_is_a_dataset_config_error(tmp_path, capsys):

@@ -134,6 +134,9 @@ def test_classify_too_few():
     verdict = classify_itds([1e-4] * 9, SIGMA_TH, DTAU_MIN)
     assert isinstance(verdict, Discard)
     assert verdict.reason == REASON_TOO_FEW
+    # exactly MIN_SAMPLES samples are enough for a verdict
+    edge = classify_itds([1e-4] * itd_model.MIN_SAMPLES, SIGMA_TH, DTAU_MIN)
+    assert isinstance(edge, SinglePeak)
 
 
 def test_classify_single_peak():

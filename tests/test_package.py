@@ -162,3 +162,43 @@ def test_only_the_parallel_module_splits_a_seed():
     ]
     assert found == []
     assert list(_seed_splits((PACKAGE / "parallel.py").read_text()))
+
+
+def _block_size_uses(source: str):
+    """Where the source names ``BLOCK_FRAMES``: imported, read as a name, or
+    read as a module attribute."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name == "BLOCK_FRAMES":
+                    yield f"line {node.lineno}: import BLOCK_FRAMES"
+        elif isinstance(node, ast.Name) and node.id == "BLOCK_FRAMES":
+            yield f"line {node.lineno}: BLOCK_FRAMES"
+        elif isinstance(node, ast.Attribute) and node.attr == "BLOCK_FRAMES":
+            yield f"line {node.lineno}: .BLOCK_FRAMES"
+
+
+def test_the_block_size_rule_finds_each_form():
+    source = (
+        "from .stft import BLOCK_FRAMES, frame_blocks\n"
+        "n = stft.BLOCK_FRAMES\n"
+        "for s in range(0, n, BLOCK_FRAMES): pass\n"
+        '"""blocks of BLOCK_FRAMES frames"""\n'
+    )
+    assert sorted(_block_size_uses(source)) == [
+        "line 1: import BLOCK_FRAMES",
+        "line 2: .BLOCK_FRAMES",
+        "line 3: BLOCK_FRAMES",
+    ]
+
+
+def test_only_the_stft_module_names_the_frame_block_size():
+    # every blocked pass over a spectrogram grid takes stft.frame_blocks
+    found = [
+        f"{path.name} {use}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "stft.py"
+        for use in _block_size_uses(path.read_text())
+    ]
+    assert found == []
+    assert list(_block_size_uses((PACKAGE / "stft.py").read_text()))

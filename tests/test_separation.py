@@ -43,10 +43,15 @@ def test_config_validation():
     # 1/(2*dt) = 9 kHz, above the 8 kHz nyquist of the 16 kHz default
     with pytest.raises(ValueError, match="delta_tau_max .* outside \\(0, nyquist\\)"):
         SeparationConfig(delta_tau_max=1.0 / 18000.0)
+    # 1/(2*6.25e-5) is exactly the 8000.0 Hz nyquist, which is outside too
+    with pytest.raises(ValueError, match="aliasing frequency 8000.0 outside"):
+        SeparationConfig(delta_tau_max=6.25e-5)
     with pytest.raises(ValueError, match="delta_tau_max must be positive"):
         SeparationConfig(delta_tau_max=0.0)
     with pytest.raises(ValueError, match="positive"):
         SeparationConfig(sigma_th=0.0)
+    with pytest.raises(ValueError, match="positive"):
+        SeparationConfig(delta_tau_min=0.0)
 
 
 def test_dominance_hand_trace_no_decay():

@@ -14,7 +14,6 @@ from regionsep import (
 )
 from regionsep.stft import (
     BLOCK_FRAMES,
-    _num_frames,
     _window_sum,
     istft_many,
     stft_many,
@@ -25,6 +24,13 @@ from helpers import oracle_istft, oracle_window_sum
 # partial last one
 B = BLOCK_FRAMES
 FRAME_COUNTS = (1, 63, 64, 65, B - 1, B, B + 1, B + 65, 3 * B + 17)
+
+
+def _frame_count(length, cfg):
+    """The documented frame count of a ``length``-sample signal: frames
+    start every hop from half a frame before the first sample, up to the
+    last frame that starts at or before the last sample."""
+    return 1 + (cfg.fft_size // 2 + length - 1) // cfg.hop
 
 
 def _rel_l2(x, y):
@@ -83,7 +89,7 @@ def test_short_input_frame_count_and_round_trip():
     for n in (1, 100, 1023):
         x = Waveform(np.random.default_rng(n).standard_normal(n) * 0.1, 16000)
         spec = stft(x, cfg)
-        assert spec.num_frames == _num_frames(n, cfg)
+        assert spec.num_frames == _frame_count(n, cfg)
         assert spec.num_frames == 1 + (512 + n - 1) // 512
         back = istft(spec)
         assert len(back) == n
@@ -150,7 +156,7 @@ def _istft_oracle(spec):
 def _unblocked_stft_bins(x, cfg):
     """One ``rfft`` of the whole frame matrix: the reference stft is held to."""
     n, hop, lead = cfg.fft_size, cfg.hop, cfg.fft_size // 2
-    n_frames = _num_frames(len(x), cfg)
+    n_frames = _frame_count(len(x), cfg)
     padded = np.zeros((n_frames - 1) * hop + n)
     padded[lead : lead + len(x)] = x.samples
     frames = np.stack([padded[t * hop : t * hop + n] for t in range(n_frames)])
@@ -177,7 +183,7 @@ def test_istft_matches_frame_loop_oracle(fft_size, hop, exact):
     rng = np.random.default_rng(fft_size + hop)
     # the longest signal with each frame count; a count that needs fewer
     # samples than one is below this hop's minimum and is left out
-    cases = [(20001, _num_frames(20001, cfg))]
+    cases = [(20001, _frame_count(20001, cfg))]
     cases += [(f * hop - fft_size // 2, f) for f in FRAME_COUNTS]
     for length, n_frames in cases:
         if length < 1:
@@ -304,6 +310,6 @@ def test_stft_and_istft_raise_on_an_overflowing_transform():
     with pytest.raises(ValueError, match="non-finite"):
         stft(Waveform(np.full(8000, 1e306), 16000), cfg)
     # finite bins whose inverse overflows
-    bins = np.full((_num_frames(8000, cfg), cfg.num_bins), 1e306 + 0j)
+    bins = np.full((_frame_count(8000, cfg), cfg.num_bins), 1e306 + 0j)
     with pytest.raises(ValueError, match="NaN or Inf"):
         istft(Spectrogram(bins, cfg, 8000))

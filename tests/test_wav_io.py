@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from regionsep import AudioFormatError, BinauralSignal, Waveform, read_wav, write_wav
-from regionsep.audio import ENCODE_BLOCK, finite_waveform, max_wav_frames
+from regionsep.audio import ENCODE_BLOCK, finite_waveform, max_wav_frames, max_wav_rate
 from helpers import oracle_decode, oracle_write_wav, wav_bytes
 
 LSB = 1 / 32768
@@ -278,3 +278,23 @@ def test_write_wav_refuses_a_signal_longer_than_a_file_holds(tmp_path, channels)
     # a file at the limit fits its 32-bit RIFF size field, one frame more not
     frame_bytes = 2 * channels
     assert 36 + frame_bytes * (n - 1) <= 2**32 - 1 < 36 + frame_bytes * n
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_write_wav_refuses_a_rate_its_header_cannot_hold(tmp_path, channels):
+    # the byte rate, 2 bytes per channel per frame, is a 32-bit field
+    limit = max_wav_rate(channels)
+    assert limit * 2 * channels <= 2**32 - 1 < (limit + 1) * 2 * channels
+    samples = np.linspace(-0.5, 0.5, 11)
+    for rate in (limit, limit + 1):
+        wave = Waveform(samples, rate)
+        signal = wave if channels == 1 else BinauralSignal(wave, wave)
+        path = tmp_path / f"{rate}.wav"
+        if rate == limit:
+            write_wav(signal, path)
+            back = read_wav(path)
+            assert back.sample_rate == limit and len(back) == 11
+        else:
+            with pytest.raises(ValueError, match=f"at most {limit}"):
+                write_wav(signal, path)
+            assert not path.exists()
