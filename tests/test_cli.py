@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import multiprocessing
 import os
 import pickle
 import struct
@@ -1278,3 +1279,98 @@ def test_non_finite_config_value_exit_2_before_writing(tmp_path, capsys, key):
         assert main(argv + ["--out", str(out)]) == 2, value
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _allocator_lines(caplog) -> list:
+    return [
+        (r.levelname, r.getMessage())
+        for r in caplog.records
+        if r.name == "regionsep" and r.getMessage().startswith("allocator")
+    ]
+
+
+def test_each_command_logs_one_allocator_line_and_writes_the_same_tree_without_glibc(
+    tmp_path, monkeypatch, caplog
+):
+    caplog.set_level("INFO", logger="regionsep")
+    assert _synth(tmp_path / "policy", num=2) == 0
+
+    def not_glibc(name):
+        raise ValueError(f"unrecognized configuration name: {name}")
+
+    monkeypatch.setattr(os, "confstr", not_glibc)
+    assert _synth(tmp_path / "defaults", num=2) == 0
+    assert tree_digest(tmp_path / "defaults") == tree_digest(tmp_path / "policy")
+    (level1, line1), (level2, line2) = _allocator_lines(caplog)
+    assert level1 == level2 == "INFO"
+    named = "M_MMAP_THRESHOLD=33554432" in line1 and "M_TRIM_THRESHOLD=33554432" in line1
+    assert named or line1.startswith("allocator left alone")
+    assert line2.startswith("allocator left alone")
+
+
+def test_a_mallopt_that_refuses_is_logged_not_raised(tmp_path, monkeypatch, caplog):
+    caplog.set_level("INFO", logger="regionsep")
+    calls = []
+
+    def refusing_mallopt(param, value):
+        calls.append((param, value))
+        return 0
+
+    libc = argparse.Namespace(mallopt=refusing_mallopt)
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    assert _synth(tmp_path / "out", num=1) == 0
+    assert calls == [(-3, 1 << 25), (-1, 1 << 25)]
+    assert _allocator_lines(caplog) == [
+        (
+            "INFO",
+            "allocator: M_MMAP_THRESHOLD=33554432 refused by mallopt, "
+            "M_TRIM_THRESHOLD=33554432 refused by mallopt (glibc 2.36)",
+        )
+    ]
+
+
+# Run in a fresh interpreter: forked workers inherit their parent's whole
+# allocator state, and in the test process the frees of earlier tests may
+# already have raised glibc's dynamic thresholds, hiding the faults.
+_REFILL_SCRIPT = """
+import resource, sys
+import numpy as np
+from regionsep import cli, parallel
+
+def second_fill_faults(shared, task):
+    first = np.ones(1 << 19)  # 4 MiB
+    del first
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    second = np.ones(1 << 19)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+argv = ["synth", "--num-scenes", "1", "--duration", "0.5", "--out", sys.argv[1]]
+assert cli.main(argv) == 0
+print(*parallel.ordered_map(second_fill_faults, None, range(2), jobs=2))
+"""
+
+
+def _glibc_and_fork() -> bool:
+    try:
+        glibc = (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, OSError, ValueError):
+        return False
+    return glibc and multiprocessing.get_context().get_start_method() == "fork"
+
+
+@pytest.mark.skipif(
+    not _glibc_and_fork(),
+    reason="the policy is set on glibc only, and reaches pool workers through fork",
+)
+def test_pool_workers_of_a_command_refill_a_freed_array_without_faults(tmp_path):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _REFILL_SCRIPT, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    faults = [int(n) for n in done.stdout.split()]
+    # without the policy each fills about half its 1024 pages afresh
+    assert len(faults) == 2 and max(faults) < 100, faults

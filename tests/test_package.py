@@ -202,3 +202,55 @@ def test_only_the_stft_module_names_the_frame_block_size():
     ]
     assert found == []
     assert list(_block_size_uses((PACKAGE / "stft.py").read_text()))
+
+
+def _allocator_uses(source: str):
+    """Where the source imports ``ctypes`` or names ``mallopt``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "ctypes":
+                    yield f"line {node.lineno}: import {alias.name}"
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "ctypes":
+                yield f"line {node.lineno}: from {node.module}"
+            for alias in node.names:
+                if alias.name == "mallopt":
+                    yield f"line {node.lineno}: import mallopt"
+        elif isinstance(node, ast.Name) and node.id == "mallopt":
+            yield f"line {node.lineno}: mallopt"
+        elif isinstance(node, ast.Attribute) and node.attr == "mallopt":
+            yield f"line {node.lineno}: .mallopt"
+
+
+def test_the_allocator_rule_finds_each_form():
+    source = (
+        "import ctypes\n"
+        "from ctypes import CDLL\n"
+        "import os, ctypes.util as cu\n"
+        "libc.mallopt(-3, 1 << 25)\n"
+        "from libc import mallopt\n"
+        "mallopt = None\n"
+        '"""glibc\'s mallopt"""\n'
+    )
+    assert sorted(_allocator_uses(source)) == [
+        "line 1: import ctypes",
+        "line 2: from ctypes",
+        "line 3: import ctypes.util",
+        "line 4: .mallopt",
+        "line 5: import mallopt",
+        "line 6: mallopt",
+    ]
+
+
+def test_only_the_cli_module_sets_an_allocator_policy():
+    # library callers keep glibc's defaults; only the processes the CLI
+    # owns pin its thresholds
+    found = [
+        f"{path.name} {use}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "cli.py"
+        for use in _allocator_uses(path.read_text())
+    ]
+    assert found == []
+    assert list(_allocator_uses((PACKAGE / "cli.py").read_text()))
