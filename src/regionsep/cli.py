@@ -3,20 +3,24 @@
 Every command is a pure function of its inputs, config, and seed; reruns
 produce checksum-identical output trees. ``synth``'s scenes, ``dataset``'s
 mixtures and its training tuples are each one ``parallel.seeded_tasks``
-list that ``parallel.ordered_map`` runs, in --jobs worker processes (at
-least 1). The inputs every task shares (source pool, HRIR bank, configs)
-go to each worker once; a task carries its index and seed child, writes
-its own item (a scene directory, a mixture's WAVs, a tuple directory) and
-returns its counts and manifest lines. Once every task has finished, this
-process writes only ``manifest.jsonl`` and ``stats.json``, in seed order.
-Item ``i`` is the same at any count, so a harvest budget is a smaller
-``--num``. When tuples follow, the harvest tasks also put their samples
-in a store (``dataset.store_records``; the clean originals only at a
-``--clean-ratio`` above 0) and return each record's location; the tuple
-workers this process forks read the records they draw from its maps of the
-store (``dataset.load_records``). This module owns only the store's
-directory, a private one under ``--out`` that is removed when the command
-ends; at ``--tuples 0`` there is none.
+list, mapped over one ``parallel.TaskPool`` per command: --jobs worker
+processes (at least 1), forked once, that serve both of ``dataset``'s
+stages. The inputs every task shares (source pool, HRIR bank, configs,
+output paths) go to each worker once; a task carries its index and seed
+child, writes its own item (a scene directory, a mixture's WAVs, a tuple
+directory) and returns its counts and manifest lines. Once every task of
+a stage has finished, this process writes only ``manifest.jsonl`` and
+``stats.json``, in seed order. Item ``i`` is the same at any count, so a
+harvest budget is a smaller ``--num``. When tuples follow, the harvest
+tasks also put their samples in a store (``dataset.store_records``; the
+clean originals only at a ``--clean-ratio`` above 0) and return each
+record's location and labels. This process draws every tuple's sources
+from those labels (``dataset.draw_tuple_sources``), and each tuple task
+carries its drawn records, whose store spans its worker reads
+(``dataset.read_stored``), sums and writes. This module owns only the
+store's directory, a private one under ``--out`` that is removed when the
+command ends, after the pool's workers are joined; at ``--tuples 0``
+there is none.
 
 On glibc, ``main`` first pins the allocator's mmap and trim thresholds at
 32 MiB for this process and the pool workers it forks, so the arrays each
@@ -40,7 +44,9 @@ import re
 import sys
 import tempfile
 from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -56,18 +62,20 @@ from .dataset import (
     PROVENANCE_SINGLE,
     DirtyBuildStats,
     check_pair_gap,
-    draw_training_tuple,
+    draw_tuple_sources,
     harvest_mixture,
-    load_records,
     outcome_records,
     plan_training_tuples,
+    read_stored,
     store_records,
+    sum_tuple,
 )
-from .hrir import load_hrir_bank
+from .hrir import HrirBank, load_hrir_bank
 from .manifest import ManifestEntry, write_manifest
 from .metrics import evaluate_regions
-from .parallel import ordered_map, seeded_tasks
+from .parallel import TaskPool, seeded_tasks
 from .scenes import (
+    RegionLayout,
     RegionMixtureSet,
     default_layout_r3,
     make_spherical_bank,
@@ -171,7 +179,8 @@ def _separation_config(params: dict) -> SeparationConfig:
 
 
 def _check_pool_args(args, *counts: str) -> int:
-    """Reject a bad --jobs, k range or negative count of synth/dataset; return jobs.
+    """Reject a bad --jobs, k range, negative --pool-size or negative count
+    of synth/dataset; return jobs.
 
     ``counts`` are the dests of the command's count flags.
     """
@@ -181,7 +190,7 @@ def _check_pool_args(args, *counts: str) -> int:
         raise ConfigError(
             f"need 1 <= --k-min <= --k-max, got {args.k_min} and {args.k_max}"
         )
-    for dest in counts:
+    for dest in ("pool_size",) + counts:
         if getattr(args, dest) < 0:
             flag = "--" + dest.replace("_", "-")
             raise ConfigError(f"{flag} must be at least 0, got {getattr(args, dest)}")
@@ -288,7 +297,8 @@ def cmd_synth(args) -> int:
     memo = {}
     shared = (default_layout_r3(), k_range, duration, pool, bank, memo, out)
     tasks = seeded_tasks(args.num_scenes, params["seed"])
-    clipped = sum(ordered_map(_synth_and_write, shared, tasks, jobs))
+    with TaskPool(shared, jobs, len(tasks)) as workers:
+        clipped = sum(workers.map(_synth_and_write, tasks))
     log.info(
         "wrote %d scenes to %s; %d samples clipped", args.num_scenes, out, clipped
     )
@@ -427,7 +437,19 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _harvest_and_write(shared, task):
+class _DatasetShared(NamedTuple):
+    """The inputs every task of one ``dataset`` command shares."""
+
+    pool: dict
+    bank: HrirBank
+    cfg: SeparationConfig
+    layout: RegionLayout
+    out: Path
+    store: Optional[Path]  # the sample store; None at --tuples 0
+    keep_clean: bool  # store the clean originals, which some tuple may read
+
+
+def _harvest_and_write(shared: _DatasetShared, task):
     """Harvest one mixture and write its records' WAVs, and their samples to
     the sample store when there is one: the clean originals too, unless the
     tuples read none of them.
@@ -436,7 +458,7 @@ def _harvest_and_write(shared, task):
     clipped)``: a discard's entry, or the records'; without a store there
     are no stored records.
     """
-    pool, bank, cfg, out, store, keep_clean = shared
+    pool, bank, cfg, _, out, store, keep_clean = shared
     index, seed_seq = task
     mix_id = f"mix{index:05d}"
     records, discard_reason = harvest_mixture(pool, bank, cfg, mix_id, seed_seq)
@@ -448,15 +470,15 @@ def _harvest_and_write(shared, task):
     return entries, discard_reason, stored, clipped
 
 
-def _tuple_and_write(shared, task) -> int:
-    """Draw training tuple ``t`` from its seed child and write its
+def _tuple_and_write(shared: _DatasetShared, task) -> int:
+    """Read and sum the drawn sources of training tuple ``t`` and write its
     ``tuple_NNNN`` directory; return the samples clipped."""
-    plan, out = shared
-    t, seed_seq = task
-    tup = draw_training_tuple(plan, seed_seq)
+    t, drawn = task
+    signal_of = partial(read_stored, shared.store)
+    tup = sum_tuple(drawn, shared.layout.num_regions, signal_of)
     meta = {"active": list(tup.active), "provenances": list(tup.provenances)}
     meta_text = json.dumps(meta, sort_keys=True)
-    tdir = out / f"tuple_{t:04d}"
+    tdir = shared.out / f"tuple_{t:04d}"
     return _write_regions(tdir, tup.mixture, tup.references, "meta.json", meta_text)
 
 
@@ -495,28 +517,34 @@ def cmd_dataset(args) -> int:
         if args.tuples > 0
         else nullcontext()
     )
+    layout = default_layout_r3()
     with store_dir as store:
         store = None if store is None else Path(store)
-        tasks = seeded_tasks(args.num, seed)
         # at a clean ratio of 0 no tuple reads a clean original
-        shared = (pool, bank, cfg, out, store, clean_ratio > 0)
-        results = ordered_map(_harvest_and_write, shared, tasks, jobs)
-        entries, stored = [], []
-        for new_entries, discard_reason, new_stored, new_clipped in results:
-            stats.add(new_entries, discard_reason)
-            clipped += new_clipped
-            entries.extend(new_entries)
-            stored.extend(new_stored)
-        write_manifest(entries, out / "manifest.jsonl")
-        if stored:
-            clipped += _write_tuples(args, out, clean_ratio, seed, stored, store)
-        elif args.tuples > 0:
-            log.warning(
-                "no record harvested from %d mixtures: wrote none of the "
-                "%d tuples requested",
-                args.num,
-                args.tuples,
-            )
+        keep_clean = clean_ratio > 0
+        shared = _DatasetShared(pool, bank, cfg, layout, out, store, keep_clean)
+        # the workers are joined when this block exits, before the store
+        # is removed
+        with TaskPool(shared, jobs, max(args.num, args.tuples)) as workers:
+            results = workers.map(_harvest_and_write, seeded_tasks(args.num, seed))
+            entries, stored = [], []
+            for new_entries, discard_reason, new_stored, new_clipped in results:
+                stats.add(new_entries, discard_reason)
+                clipped += new_clipped
+                entries.extend(new_entries)
+                stored.extend(new_stored)
+            write_manifest(entries, out / "manifest.jsonl")
+            if stored:
+                clipped += _write_tuples(
+                    workers, layout, args, clean_ratio, seed, stored
+                )
+            elif args.tuples > 0:
+                log.warning(
+                    "no record harvested from %d mixtures: wrote none of the "
+                    "%d tuples requested",
+                    args.num,
+                    args.tuples,
+                )
 
     record = {**stats.to_record(), "clipped_samples": clipped}
     (out / "stats.json").write_text(
@@ -526,20 +554,23 @@ def cmd_dataset(args) -> int:
 
 
 def _write_tuples(
-    args, out: Path, clean_ratio: float, seed: int, stored: list, store: Path
+    workers: TaskPool,
+    layout: RegionLayout,
+    args,
+    clean_ratio: float,
+    seed: int,
+    stored: list,
 ) -> int:
-    """Draw and write the training tuples from the stored records, mapped
-    here once per store file; return the samples clipped. The maps close
-    when this returns, before the store is removed."""
-    plan = plan_training_tuples(
-        load_records(stored, store),
-        default_layout_r3(),
-        (args.k_min, args.k_max),
-        clean_ratio,
-    )
-    tasks = seeded_tasks(args.tuples, seed ^ 0x70B1E5)
-    # the forked workers inherit the maps
-    return sum(ordered_map(_tuple_and_write, (plan, out), tasks, args.jobs))
+    """Draw every training tuple's sources here, from the stored records'
+    labels alone, and have ``workers`` read, sum and write the tuples;
+    return the samples clipped."""
+    k_range = (args.k_min, args.k_max)
+    plan = plan_training_tuples(stored, layout, k_range, clean_ratio)
+    tasks = [
+        (t, draw_tuple_sources(plan, seq))
+        for t, seq in seeded_tasks(args.tuples, seed ^ 0x70B1E5)
+    ]
+    return sum(workers.map(_tuple_and_write, tasks))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, command: str):

@@ -10,8 +10,11 @@ a configurable rate.
 A harvest that keeps its records out of the calling process puts their
 samples in a sample store (``store_records``): a directory of float64
 files, one per writing process, that only their writer appends to. Only
-this module knows that layout; ``load_records`` rebuilds the records as
-read-only views, mapping each file once.
+this module knows that layout; ``read_stored`` reads one stored signal
+back with one positioned read. A tuple's draws read only its records'
+labels, so they can be made where the samples are not
+(``draw_tuple_sources``), and its signals read and summed elsewhere
+(``sum_tuple``).
 """
 
 from __future__ import annotations
@@ -59,6 +62,10 @@ class SourceRecord:
     provenance: str
     origin_scene: str
     clean_signal: Optional[BinauralSignal] = None
+
+    @property
+    def has_clean(self) -> bool:
+        return self.clean_signal is not None
 
 
 @dataclass(frozen=True)
@@ -227,6 +234,10 @@ class StoredRecord:
     signal_span: Tuple[int, int]
     clean_span: Optional[Tuple[int, int]]
 
+    @property
+    def has_clean(self) -> bool:
+        return self.clean_span is not None
+
 
 def store_records(
     records: Sequence[SourceRecord], store_dir: Path
@@ -258,40 +269,22 @@ def store_records(
     ]
 
 
-def load_records(
-    stored: Sequence[StoredRecord], store_dir: Path
-) -> List[SourceRecord]:
-    """The records of ``stored``, their signals read-only views of the files
-    of the sample store ``store_dir``, each file mapped once.
+def read_stored(store_dir: Path, rec: StoredRecord, use_clean: bool) -> BinauralSignal:
+    """The signal of ``rec``, or its clean original, read from the sample
+    store ``store_dir`` with one positioned read of its span.
 
     The samples are not scanned again: they were finite when they were
     stored, and nothing but ``store_records`` writes a store.
     """
-    maps: Dict[str, np.ndarray] = {}
-    for s in stored:
-        if s.file not in maps:
-            mapped = np.memmap(store_dir / s.file, dtype=np.float64, mode="r")
-            maps[s.file] = mapped.view(np.ndarray)
-
-    def binaural(s: StoredRecord, span: Tuple[int, int]) -> BinauralSignal:
-        start, n = span
-        samples = maps[s.file][start : start + 2 * n]
-        return BinauralSignal(
-            finite_waveform(samples[:n], s.sample_rate),
-            finite_waveform(samples[n:], s.sample_rate),
-        )
-
-    return [
-        SourceRecord(
-            binaural(s, s.signal_span),
-            s.itd,
-            s.region,
-            s.provenance,
-            s.origin_scene,
-            None if s.clean_span is None else binaural(s, s.clean_span),
-        )
-        for s in stored
-    ]
+    start, n = rec.clean_span if use_clean else rec.signal_span
+    path = store_dir / rec.file
+    samples = np.fromfile(path, np.float64, count=2 * n, offset=start * _SAMPLE_BYTES)
+    if samples.size != 2 * n:
+        raise OSError(f"{path}: {samples.size} of {2 * n} stored samples")
+    return BinauralSignal(
+        finite_waveform(samples[:n], rec.sample_rate),
+        finite_waveform(samples[n:], rec.sample_rate),
+    )
 
 
 @dataclass(frozen=True)
@@ -300,23 +293,23 @@ class TuplePlan:
     records by region, the K range and the clean ratio. Made by
     ``plan_training_tuples``."""
 
-    by_region: Mapping[int, Sequence[SourceRecord]]
+    by_region: Mapping[int, Sequence]
     num_regions: int
     k_range: Tuple[int, int]
     clean_ratio: float
-    sample_rate: int
 
 
 def plan_training_tuples(
-    db: Sequence[SourceRecord],
+    db: Sequence,
     layout: RegionLayout,
     k_range: Tuple[int, int],
     clean_ratio: float,
 ) -> TuplePlan:
     """Check the tuple parameters and index ``db`` by region.
 
-    Above a ``clean_ratio`` of 0 every separated record needs its clean
-    original; at 0 none is read.
+    ``db`` holds ``SourceRecord``s or ``StoredRecord``s: the draws read
+    only their labels. Above a ``clean_ratio`` of 0 every separated record
+    needs its clean original; at 0 none is read.
     """
     if not db:
         raise ValueError("source database is empty")
@@ -326,12 +319,12 @@ def plan_training_tuples(
     if not 1 <= k_lo <= k_hi:
         raise ValueError(f"bad k_range {k_range}")
 
-    by_region: Dict[int, List[SourceRecord]] = {}
+    by_region: Dict[int, list] = {}
     for rec in db:
         if not 1 <= rec.region <= layout.num_regions:
             raise ValueError(f"record region {rec.region} is not in the layout")
         separated = rec.provenance == PROVENANCE_SEPARATED
-        if clean_ratio > 0 and separated and rec.clean_signal is None:
+        if clean_ratio > 0 and separated and not rec.has_clean:
             raise ValueError(
                 f"a separated record of {rec.origin_scene} has no clean "
                 f"original, which clean_ratio {clean_ratio} needs"
@@ -342,15 +335,14 @@ def plan_training_tuples(
         num_regions=layout.num_regions,
         k_range=(k_lo, k_hi),
         clean_ratio=clean_ratio,
-        sample_rate=db[0].signal.sample_rate,
     )
 
 
-def draw_training_tuple(
+def draw_tuple_sources(
     plan: TuplePlan, seed_seq: np.random.SeedSequence
-) -> TrainingTuple:
-    """A tuple of ``plan`` drawn from ``seed_seq``: K region-labeled sources
-    summed per region.
+) -> List[Tuple[int, object, bool]]:
+    """The K sources of a tuple of ``plan`` drawn from ``seed_seq``: each
+    one's ``(region, record, use_clean)``.
 
     Each source is drawn region-first (``scenes.draw_region_first``): a
     uniform region among those with database entries, then a uniform
@@ -362,25 +354,34 @@ def draw_training_tuple(
     rng = np.random.default_rng(seed_seq)
     k_lo, k_hi = plan.k_range
     k = int(rng.integers(k_lo, k_hi + 1))
-
-    chosen: List[Tuple[int, BinauralSignal, str]] = []
+    drawn = []
     for _ in range(k):
         region, rec = draw_region_first(rng, plan.by_region)
         separated = rec.provenance == PROVENANCE_SEPARATED
-        use_clean = separated and rng.random() < plan.clean_ratio
-        signal = rec.clean_signal if use_clean else rec.signal
-        provenance = PROVENANCE_CLEAN if use_clean else rec.provenance
-        chosen.append((region, signal, provenance))
+        drawn.append((region, rec, separated and rng.random() < plan.clean_ratio))
+    return drawn
 
-    length = max(len(sig) for _, sig, _ in chosen)
-    placed = [(region, sig) for region, sig, _ in chosen]
-    summed = sum_regions(placed, plan.num_regions, length, plan.sample_rate)
+
+def sum_tuple(drawn: Sequence, num_regions: int, signal_of) -> TrainingTuple:
+    """The training tuple of the ``(region, record, use_clean)`` sources
+    ``drawn``: each one's ``signal_of(record, use_clean)``, summed per
+    region."""
+    placed = [(region, signal_of(rec, use_clean)) for region, rec, use_clean in drawn]
+    length = max(len(sig) for _, sig in placed)
+    summed = sum_regions(placed, num_regions, length, placed[0][1].sample_rate)
     return TrainingTuple(
         mixture=summed.mixture,
         references=summed.region_signals,
         active=summed.active,
-        provenances=tuple(p for _, _, p in chosen),
+        provenances=tuple(
+            PROVENANCE_CLEAN if use_clean else rec.provenance
+            for _, rec, use_clean in drawn
+        ),
     )
+
+
+def _signal_of(rec: SourceRecord, use_clean: bool) -> BinauralSignal:
+    return rec.clean_signal if use_clean else rec.signal
 
 
 def build_training_tuples(
@@ -392,6 +393,9 @@ def build_training_tuples(
     seed: int,
 ) -> List[TrainingTuple]:
     """The ``m`` tuples of ``plan_training_tuples(db, ...)``, in order: tuple
-    ``t`` is ``draw_training_tuple`` of task ``t`` of ``seeded_tasks(m, seed)``."""
+    ``t`` sums ``draw_tuple_sources`` of task ``t`` of ``seeded_tasks(m, seed)``."""
     plan = plan_training_tuples(db, layout, k_range, clean_ratio)
-    return [draw_training_tuple(plan, seq) for _, seq in seeded_tasks(m, seed)]
+    return [
+        sum_tuple(draw_tuple_sources(plan, seq), plan.num_regions, _signal_of)
+        for _, seq in seeded_tasks(m, seed)
+    ]

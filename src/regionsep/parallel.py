@@ -1,28 +1,33 @@
-"""Seeded tasks and a seed-ordered map over them, serially or in a process
-pool, and a small thread fan-out for work that releases the interpreter lock.
+"""Seeded tasks and a pool of worker processes that runs seed-ordered maps
+over them, and a small thread fan-out for work that releases the
+interpreter lock.
 
 Task ``i`` of ``seeded_tasks(n, seed)`` is ``(i, child i of
-SeedSequence(seed))``, the same at any ``n`` and worker count. The inputs
-every task shares reach each pool worker once, through the executor's
-initializer. A task writes its own output item and returns only small
-results (counts, manifest lines); ``ordered_map`` returns them as one list,
-in task order, once every task has finished. The calling process writes
-only the summaries (``manifest.jsonl``, ``stats.json``).
+SeedSequence(seed))``, the same at any ``n`` and worker count. One
+``TaskPool`` serves every stage of a command: its workers are forked once,
+at its first pooled map, and the inputs every task of every stage shares
+reach each worker then, through the executor's initializer. What a later
+stage needs that exists only after the fork travels in its tasks. A task
+writes its own output item and returns only small results (counts,
+manifest lines); ``TaskPool.map`` returns them as one list, in task order,
+once every task has finished. The calling process writes only the
+summaries (``manifest.jsonl``, ``stats.json``).
 
-``ordered_map`` shuts its pool down, and ``thread_map`` joins its threads,
-within the call, so no worker or executor thread is alive when a later
-``ordered_map`` forks its pool workers (a fork while threads run can
-deadlock the child).
+The pool is shut down and joined when its ``with`` block exits, and
+``thread_map`` joins its threads within the call, so no worker or executor
+thread is alive when a later pool forks its workers (a fork while threads
+run can deadlock the child).
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from itertools import repeat
 
 import numpy as np
 
-_installed = None  # (fn, shared), set by the initializer in pool workers only
+_installed = None  # (shared,), set by the initializer in pool workers only
 
 
 def seeded_tasks(n: int, seed: int) -> list:
@@ -38,35 +43,51 @@ def worker_count(jobs: int, n_tasks: int) -> int:
     return min(jobs, n_tasks)
 
 
-def ordered_map(fn, shared, tasks, jobs: int = 1) -> list:
-    """``[fn(shared, task) for task in tasks]``, in task order.
+class TaskPool:
+    """Worker processes for every stage of one command, inside a ``with``
+    block: ``pool.map(fn, tasks)`` is ``[fn(shared, task) for task in
+    tasks]``, in task order.
 
-    With one worker the calls run in this process. With more, they run in
-    a process pool that is shut down before this returns; a task that
-    raises cancels the tasks no worker has started.
+    ``most_tasks`` is the task count of the command's largest stage. With
+    one worker (``worker_count(jobs, most_tasks)``) every map runs in this
+    process. With more, the workers are forked at the first map and serve
+    every later one; ``fn`` goes with each task, so it must be a
+    module-level function. A task that raises cancels the tasks of its map
+    that no worker has started. The block's exit shuts the workers down
+    and joins them.
     """
-    tasks = list(tasks)
-    n_workers = worker_count(jobs, len(tasks))
-    if n_workers <= 1:
-        return [fn(shared, task) for task in tasks]
-    return _pooled(fn, shared, tasks, n_workers)
+
+    def __init__(self, shared, jobs: int, most_tasks: int):
+        self._shared = shared
+        self._n_workers = worker_count(jobs, most_tasks)
+        self._executor = None
+
+    def __enter__(self) -> "TaskPool":
+        if self._n_workers > 1:
+            self._executor = ProcessPoolExecutor(
+                self._n_workers, initializer=_install, initargs=(self._shared,)
+            )
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
+
+    def map(self, fn, tasks) -> list:
+        if self._executor is None:
+            return [fn(self._shared, task) for task in tasks]
+        # a task that raises makes map's iterator cancel the unstarted ones
+        return list(self._executor.map(_call_installed, repeat(fn), tasks))
 
 
-def _pooled(fn, shared, tasks, n_workers) -> list:
-    # a task that raises makes map's iterator cancel the unstarted ones
-    with ProcessPoolExecutor(
-        n_workers, initializer=_install, initargs=(fn, shared)
-    ) as executor:
-        return list(executor.map(_call_installed, tasks))
-
-
-def _install(fn, shared):
+def _install(shared):
     global _installed
-    _installed = (fn, shared)
+    _installed = (shared,)
 
 
-def _call_installed(task):
-    fn, shared = _installed
+def _call_installed(fn, task):
+    (shared,) = _installed
     return fn(shared, task)
 
 
@@ -81,8 +102,8 @@ def usable_cpus() -> int:
 def thread_map(fn, items, threaded: bool) -> list:
     """``[fn(item) for item in items]``, on up to ``min(items, usable CPUs)`` threads.
 
-    Runs serially when ``threaded`` is false, and inside an ``ordered_map``
-    pool worker, whose sibling workers already use the cores. Callers pass
+    Runs serially when ``threaded`` is false, and inside a ``TaskPool``
+    worker, whose sibling workers already use the cores. Callers pass
     ``threaded`` false for small work: ``separate()`` on a recording that
     fits in one frame block spends a few milliseconds per transform, and
     ``regionsep dataset --jobs 1`` on 4 s mixtures ran slower on threads

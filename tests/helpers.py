@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing.process
 import struct
 from functools import lru_cache
 from pathlib import Path
@@ -63,6 +64,20 @@ def mixed_tap_bank() -> HrirBank:
         },
         sample_rate=SR,
     )
+
+
+def count_process_starts(monkeypatch) -> list:
+    """Patch ``multiprocessing``'s process start to append each started
+    process's name to the list returned."""
+    starts = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(process):
+        starts.append(process.name)
+        return start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    return starts
 
 
 def single_source_scene(

@@ -37,7 +37,12 @@ from regionsep.dataset import harvest_mixture, store_records
 from regionsep.features import aliasing_bin
 from regionsep.hrir import BANK_MAGIC, BANK_VERSION
 from helpers import DTM, SR, harvest, mixed_tap_bank, wav_bytes
-from helpers import single_source_scene, tree_digest, two_source_scene
+from helpers import (
+    count_process_starts,
+    single_source_scene,
+    tree_digest,
+    two_source_scene,
+)
 
 
 def _synth(out, seed=3, num=3, jobs=1, extra=()):
@@ -390,16 +395,24 @@ def test_pool_tasks_pickle_small(tmp_path, monkeypatch):
     # what the pool path would send per task, collected without a pool
     sizes = []
 
-    def recording_pool(fn, shared, tasks, n_workers):
+    def recording_map(pool, fn, tasks):
+        results = []
         for task in tasks:
-            sizes.append(len(pickle.dumps((parallel._call_installed, task))))
-            yield fn(shared, task)
+            sizes.append(len(pickle.dumps((parallel._call_installed, fn, task))))
+            results.append(fn(pool._shared, task))
+        return results
 
-    monkeypatch.setattr(parallel, "_pooled", recording_pool)
+    monkeypatch.setattr(parallel.TaskPool, "map", recording_map)
     argv = ["dataset", "--out", str(tmp_path / "db"), "--num", "4", "--jobs", "2"]
     assert main(argv + ["--duration", "1.0", "--pool-size", "4"]) == 0
     assert _synth(tmp_path / "scenes", num=3, jobs=2) == 0
     assert len(sizes) == 4 + 3
+    assert max(sizes) < 1024
+    # a tuple task carries its drawn records' labels and spans, not samples
+    sizes.clear()
+    argv = ["dataset", "--out", str(tmp_path / "tuples"), "--seed", "7", "--num", "1"]
+    assert main(argv + ["--tuples", "3", "--jobs", "2"]) == 0
+    assert len(sizes) == 1 + 3
     assert max(sizes) < 1024
 
 
@@ -437,6 +450,8 @@ def test_bad_counts_and_small_pools_exit_2(tmp_path, capsys):
         (["dataset", "--pool-size", "1"], "1 sources, need at least 2"),
         (["dataset", "--pool", str(one)], "1 sources, need at least 2"),
         (["synth", "--pool-size", "0"], "0 sources, need at least 1"),
+        (["synth", "--pool-size", "-3"], "--pool-size must be at least 0, got -3"),
+        (["dataset", "--pool-size", "-3"], "--pool-size must be at least 0, got -3"),
         (["dataset", "--num", "-1"], "--num must be at least 0"),
         (["synth", "--num-scenes", "-1"], "--num-scenes must be at least 0"),
         (["dataset", "--tuples", "-1"], "--tuples must be at least 0"),
@@ -1097,6 +1112,33 @@ def test_dataset_tree_is_the_same_at_any_jobs(tmp_path, tuples, clean_ratio):
     assert len(digests) == 1
 
 
+@pytest.mark.parametrize("clean_ratio", ["0.5", "0"])
+def test_one_mixture_dataset_tree_is_the_same_at_any_jobs(tmp_path, clean_ratio):
+    # one harvest task, then four tuple tasks on the same workers
+    digests = set()
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        argv = ["dataset", "--out", str(out), "--seed", "7", "--num", "1"]
+        argv += ["--tuples", "4", "--clean-ratio", clean_ratio]
+        assert main(argv + ["--jobs", str(jobs)]) == 0
+        assert len(list(out.glob("mix00000_*.wav"))) == 2
+        assert len(list(out.glob("tuple_*"))) == 4
+        digests.add(tree_digest(out))
+    assert len(digests) == 1
+
+
+def test_dataset_forks_its_workers_once_for_both_stages(tmp_path, monkeypatch):
+    starts = count_process_starts(monkeypatch)
+    out = tmp_path / "ds"
+    argv = ["dataset", "--num", "4", "--tuples", "3", "--jobs", "2"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert len(list(out.glob("tuple_*"))) == 3
+    # the harvest's two workers also write the tuples
+    assert len(starts) == 2
+    assert multiprocessing.active_children() == []
+    assert not list(out.glob(".samples-*"))
+
+
 def test_dataset_parent_writes_no_wav_with_a_pool(tmp_path, monkeypatch):
     parent = os.getpid()
 
@@ -1131,13 +1173,12 @@ def test_harvest_results_pickle_small(tmp_path, monkeypatch):
     # what the harvest pool would send back per mixture, collected without a pool
     sizes = []
 
-    def recording_pool(fn, shared, tasks, n_workers):
-        for task in tasks:
-            result = fn(shared, task)
-            sizes.append(len(pickle.dumps(result)))
-            yield result
+    def recording_map(pool, fn, tasks):
+        results = [fn(pool._shared, task) for task in tasks]
+        sizes.extend(len(pickle.dumps(result)) for result in results)
+        return results
 
-    monkeypatch.setattr(parallel, "_pooled", recording_pool)
+    monkeypatch.setattr(parallel.TaskPool, "map", recording_map)
     out = tmp_path / "db"
     assert _dataset(out, 2, 0) == 0
     assert json.loads((out / "stats.json").read_text())["n_separated"] > 0
@@ -1254,9 +1295,8 @@ def test_dataset_open_fds_do_not_depend_on_num(tmp_path, monkeypatch):
     tuple_and_write = cli._tuple_and_write
 
     def counting_tuple_and_write(shared, t):
-        plan, out = shared
-        during.setdefault(out.name, open_fds())
-        assert len(list(out.glob(".samples-*/*.f64"))) == 1
+        during.setdefault(shared.out.name, open_fds())
+        assert len(list(shared.out.glob(".samples-*/*.f64"))) == 1
         return tuple_and_write(shared, t)
 
     monkeypatch.setattr(cli, "_tuple_and_write", counting_tuple_and_write)
@@ -1264,8 +1304,8 @@ def test_dataset_open_fds_do_not_depend_on_num(tmp_path, monkeypatch):
     for num in (4, 16):
         assert _small_dataset(tmp_path / f"num{num}", num) > 0
         assert open_fds() == before, num
-    # one map of the one store file while the tuples are drawn
-    assert during == {"num4": before + 1, "num16": before + 1}
+    # each tuple task reads its spans and closes the store file again
+    assert during == {"num4": before, "num16": before}
 
 
 @pytest.mark.parametrize("key", ["sigma_th", "delta_tau_min", "alpha", "energy_floor_db"])
@@ -1347,7 +1387,8 @@ def second_fill_faults(shared, task):
 
 argv = ["synth", "--num-scenes", "1", "--duration", "0.5", "--out", sys.argv[1]]
 assert cli.main(argv) == 0
-print(*parallel.ordered_map(second_fill_faults, None, range(2), jobs=2))
+with parallel.TaskPool(None, 2, 2) as pool:
+    print(*pool.map(second_fill_faults, range(2)))
 """
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,7 +29,13 @@ from regionsep.dataset import (
     PROVENANCE_SEPARATED,
     PROVENANCE_SINGLE,
     draw_mixture_params,
+    draw_tuple_sources,
+    plan_training_tuples,
+    read_stored,
+    store_records,
+    sum_tuple,
 )
+from regionsep.parallel import seeded_tasks
 from regionsep.signals import make_source_pool
 from helpers import DTM, SR, harvest, spherical_bank
 
@@ -214,6 +221,46 @@ def test_training_tuples_need_clean_originals_only_above_ratio_0(harvested):
         assert a.provenances == b.provenances
         assert np.array_equal(a.mixture.left.samples, b.mixture.left.samples)
         assert np.array_equal(a.mixture.right.samples, b.mixture.right.samples)
+
+
+def _channels(tup):
+    signals = (tup.mixture, *tup.references)
+    return [ch.samples for sig in signals for ch in (sig.left, sig.right)]
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0])
+def test_tuples_drawn_from_stored_labels_equal_the_tuples_in_memory(
+    tmp_path, harvested, ratio
+):
+    records, _ = harvested
+    layout = default_layout_r3()
+    stored = store_records(records, tmp_path)
+    plan = plan_training_tuples(stored, layout, (2, 4), ratio)
+    signal_of = partial(read_stored, tmp_path)
+    from_store = [
+        sum_tuple(draw_tuple_sources(plan, seq), plan.num_regions, signal_of)
+        for _, seq in seeded_tasks(12, 6)
+    ]
+    in_memory = build_training_tuples(records, layout, (2, 4), ratio, m=12, seed=6)
+    assert len(from_store) == len(in_memory) == 12
+    for a, b in zip(from_store, in_memory):
+        assert a.provenances == b.provenances and a.active == b.active
+        for x, y in zip(_channels(a), _channels(b)):
+            assert np.array_equal(x, y)
+
+
+def test_read_stored_of_a_cut_store_file_raises_naming_it(tmp_path, harvested):
+    records, _ = harvested
+    bare = dataclasses.replace(records[0], clean_signal=None)
+    (rec,) = store_records([bare], tmp_path)
+    signal = read_stored(tmp_path, rec, False)
+    assert np.array_equal(signal.left.samples, records[0].signal.left.samples)
+    assert np.array_equal(signal.right.samples, records[0].signal.right.samples)
+    (path,) = tmp_path.iterdir()
+    with open(path, "r+b") as f:
+        f.truncate(path.stat().st_size - 8)
+    with pytest.raises(OSError, match=path.name):
+        read_stored(tmp_path, rec, False)
 
 
 def test_manifest_round_trip(tmp_path):

@@ -1,4 +1,5 @@
-"""Seed-ordered map tests: worker cap, serial path, pool path; thread fan-out."""
+"""Task pool tests: worker cap, serial path, pool path, several maps on one
+pool's workers; thread fan-out."""
 
 import multiprocessing
 import os
@@ -8,7 +9,9 @@ import time
 import pytest
 
 import regionsep.parallel as parallel
-from regionsep.parallel import ordered_map, thread_map, worker_count
+from regionsep.parallel import TaskPool, thread_map, worker_count
+
+from helpers import count_process_starts
 
 
 def _tag(shared, task):
@@ -27,14 +30,15 @@ def test_worker_count_caps_at_task_count():
 
 def test_ordered_map_rejects_bad_jobs_eagerly():
     with pytest.raises(ValueError, match="at least 1"):
-        ordered_map(_tag, None, [1, 2], jobs=0)
+        TaskPool(None, 0, 2)
 
 
 def test_one_task_runs_in_process_whatever_jobs():
     # the cap leaves one worker for one task, so no pool is started
-    (result,) = ordered_map(_tag, "shared", [7], jobs=64)
-    assert result == ("shared", 7, os.getpid())
-    assert list(ordered_map(_tag, "shared", [], jobs=64)) == []
+    with TaskPool("shared", 64, 1) as pool:
+        (result,) = pool.map(_tag, [7])
+        assert result == ("shared", 7, os.getpid())
+        assert list(pool.map(_tag, [])) == []
     assert parallel._installed is None
 
 
@@ -45,13 +49,15 @@ def test_serial_path_keeps_task_order_and_leaves_no_state():
         calls.append(task)
         return shared + task
 
-    assert ordered_map(fn, 10, [1, 2, 3], jobs=1) == [11, 12, 13]
+    with TaskPool(10, 1, 3) as pool:
+        assert pool.map(fn, [1, 2, 3]) == [11, 12, 13]
     assert calls == [1, 2, 3]
     assert parallel._installed is None
 
 
 def test_pool_path_keeps_task_order_and_installs_state_in_workers_only():
-    results = list(ordered_map(_tag, "shared", range(6), jobs=2))
+    with TaskPool("shared", 2, 6) as pool:
+        results = list(pool.map(_tag, range(6)))
     assert [task for _, task, _ in results] == list(range(6))
     assert all(shared == "shared" for shared, _, _ in results)
     assert os.getpid() not in {pid for _, _, pid in results}
@@ -59,8 +65,27 @@ def test_pool_path_keeps_task_order_and_installs_state_in_workers_only():
 
 
 def test_pool_path_returns_a_list_with_its_pool_shut_down():
-    results = ordered_map(_tag, "shared", range(4), jobs=2)
+    with TaskPool("shared", 2, 4) as pool:
+        results = pool.map(_tag, range(4))
     assert isinstance(results, list) and len(results) == 4
+    assert multiprocessing.active_children() == []
+
+
+def _double(shared, task):
+    return 2 * task, os.getpid()
+
+
+def test_maps_of_one_pool_run_on_the_workers_it_forked_once(monkeypatch):
+    starts = count_process_starts(monkeypatch)
+    with TaskPool("shared", 2, 5) as pool:
+        first = pool.map(_tag, range(3))
+        second = pool.map(_double, range(5))
+        assert len(multiprocessing.active_children()) == 2
+    assert [task for _, task, _ in first] == [0, 1, 2]
+    assert [value for value, _ in second] == [0, 2, 4, 6, 8]
+    pids = {pid for _, _, pid in first} | {pid for _, pid in second}
+    assert len(pids) <= 2 and os.getpid() not in pids
+    assert len(starts) == 2
     assert multiprocessing.active_children() == []
 
 
@@ -74,10 +99,22 @@ def _mark_and_fail_first(started_dir, task):
 
 def test_a_failing_task_cancels_the_unstarted_ones_and_shuts_the_pool_down(tmp_path):
     with pytest.raises(RuntimeError, match="task 0 failed"):
-        ordered_map(_mark_and_fail_first, tmp_path, range(200), jobs=2)
+        with TaskPool(tmp_path, 2, 200) as pool:
+            pool.map(_mark_and_fail_first, range(200))
     assert multiprocessing.active_children() == []
     # without the cancel, every task would have started and finished
     assert len(list(tmp_path.iterdir())) < 50
+
+
+def test_a_failing_task_of_a_second_map_cancels_that_maps_unstarted_tasks(tmp_path):
+    with pytest.raises(RuntimeError, match="task 0 failed"):
+        with TaskPool(tmp_path, 2, 200) as pool:
+            assert [t for _, t, _ in pool.map(_tag, range(4))] == [0, 1, 2, 3]
+            pool.map(_mark_and_fail_first, range(200))
+    assert multiprocessing.active_children() == []
+    assert len(list(tmp_path.iterdir())) < 50
+
+
 def _thread_of(item):
     return item, threading.get_ident()
 
@@ -100,6 +137,8 @@ def _fan_out_in_worker(shared, task):
 
 
 def test_thread_map_runs_serially_in_pool_workers(monkeypatch):
-    # pool workers are forked from this process and inherit the patch
+    # pool workers are forked from this process and inherit the patch;
+    # None as the shared inputs still marks a worker
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-    assert list(ordered_map(_fan_out_in_worker, None, range(4), jobs=2)) == [True] * 4
+    with TaskPool(None, 2, 4) as pool:
+        assert list(pool.map(_fan_out_in_worker, range(4))) == [True] * 4
