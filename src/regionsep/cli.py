@@ -15,7 +15,7 @@ harvest budget is a smaller ``--num``. When tuples follow, the harvest
 tasks also put their samples in a store (``dataset.store_records``; the
 clean originals only at a ``--clean-ratio`` above 0) and return each
 record's location and labels. This process draws every tuple's sources
-from those labels (``dataset.draw_tuple_sources``), and each tuple task
+from those labels (``dataset.draw_tuples``), and each tuple task
 carries its drawn records, whose store spans its worker reads
 (``dataset.read_stored``), sums and writes. This module owns only the
 store's directory, a private one under ``--out`` that is removed when the
@@ -62,10 +62,9 @@ from .dataset import (
     PROVENANCE_SINGLE,
     DirtyBuildStats,
     check_pair_gap,
-    draw_tuple_sources,
+    draw_tuples,
     harvest_mixture,
     outcome_records,
-    plan_training_tuples,
     read_stored,
     store_records,
     sum_tuple,
@@ -535,9 +534,12 @@ def cmd_dataset(args) -> int:
                 stored.extend(new_stored)
             write_manifest(entries, out / "manifest.jsonl")
             if stored:
-                clipped += _write_tuples(
-                    workers, layout, args, clean_ratio, seed, stored
+                k_range = (args.k_min, args.k_max)
+                tuple_seed = seed ^ 0x70B1E5
+                drawn = draw_tuples(
+                    stored, layout, k_range, clean_ratio, args.tuples, tuple_seed
                 )
+                clipped += sum(workers.map(_tuple_and_write, enumerate(drawn)))
             elif args.tuples > 0:
                 log.warning(
                     "no record harvested from %d mixtures: wrote none of the "
@@ -551,26 +553,6 @@ def cmd_dataset(args) -> int:
         json.dumps(record, indent=2, sort_keys=True) + "\n"
     )
     return EXIT_OK
-
-
-def _write_tuples(
-    workers: TaskPool,
-    layout: RegionLayout,
-    args,
-    clean_ratio: float,
-    seed: int,
-    stored: list,
-) -> int:
-    """Draw every training tuple's sources here, from the stored records'
-    labels alone, and have ``workers`` read, sum and write the tuples;
-    return the samples clipped."""
-    k_range = (args.k_min, args.k_max)
-    plan = plan_training_tuples(stored, layout, k_range, clean_ratio)
-    tasks = [
-        (t, draw_tuple_sources(plan, seq))
-        for t, seq in seeded_tasks(args.tuples, seed ^ 0x70B1E5)
-    ]
-    return sum(workers.map(_tuple_and_write, tasks))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, command: str):

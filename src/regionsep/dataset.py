@@ -12,9 +12,8 @@ samples in a sample store (``store_records``): a directory of float64
 files, one per writing process, that only their writer appends to. Only
 this module knows that layout; ``read_stored`` reads one stored signal
 back with one positioned read. A tuple's draws read only its records'
-labels, so they can be made where the samples are not
-(``draw_tuple_sources``), and its signals read and summed elsewhere
-(``sum_tuple``).
+labels, so they can be made where the samples are not (``draw_tuples``),
+and its signals read and summed elsewhere (``sum_tuple``).
 """
 
 from __future__ import annotations
@@ -287,29 +286,28 @@ def read_stored(store_dir: Path, rec: StoredRecord, use_clean: bool) -> Binaural
     )
 
 
-@dataclass(frozen=True)
-class TuplePlan:
-    """What every training tuple of one build draws from: the database's
-    records by region, the K range and the clean ratio. Made by
-    ``plan_training_tuples``."""
-
-    by_region: Mapping[int, Sequence]
-    num_regions: int
-    k_range: Tuple[int, int]
-    clean_ratio: float
-
-
-def plan_training_tuples(
+def draw_tuples(
     db: Sequence,
     layout: RegionLayout,
     k_range: Tuple[int, int],
     clean_ratio: float,
-) -> TuplePlan:
-    """Check the tuple parameters and index ``db`` by region.
+    m: int,
+    seed: int,
+) -> List[List[Tuple[int, object, bool]]]:
+    """The sources of ``m`` training tuples drawn from ``db``: for each task
+    of ``seeded_tasks(m, seed)``, in order, its tuple's ``(region, record,
+    use_clean)``s.
 
     ``db`` holds ``SourceRecord``s or ``StoredRecord``s: the draws read
     only their labels. Above a ``clean_ratio`` of 0 every separated record
     needs its clean original; at 0 none is read.
+
+    A tuple draws its K from ``k_range``, then each source region-first
+    (``scenes.draw_region_first``): a uniform region among those with
+    database entries, then a uniform entry of it. A drawn separated source
+    is replaced by its clean original with probability ``clean_ratio``; the
+    draw is made for every separated source, so the tuple is the same
+    whether or not a clean original is attached at a ratio of 0.
     """
     if not db:
         raise ValueError("source database is empty")
@@ -330,36 +328,17 @@ def plan_training_tuples(
                 f"original, which clean_ratio {clean_ratio} needs"
             )
         by_region.setdefault(rec.region, []).append(rec)
-    return TuplePlan(
-        by_region=by_region,
-        num_regions=layout.num_regions,
-        k_range=(k_lo, k_hi),
-        clean_ratio=clean_ratio,
-    )
 
-
-def draw_tuple_sources(
-    plan: TuplePlan, seed_seq: np.random.SeedSequence
-) -> List[Tuple[int, object, bool]]:
-    """The K sources of a tuple of ``plan`` drawn from ``seed_seq``: each
-    one's ``(region, record, use_clean)``.
-
-    Each source is drawn region-first (``scenes.draw_region_first``): a
-    uniform region among those with database entries, then a uniform
-    entry of it. A drawn separated source is replaced by its clean
-    original with probability ``clean_ratio``; the draw is made for every
-    separated source, so the tuple is the same whether or not a clean
-    original is attached at a ratio of 0.
-    """
-    rng = np.random.default_rng(seed_seq)
-    k_lo, k_hi = plan.k_range
-    k = int(rng.integers(k_lo, k_hi + 1))
-    drawn = []
-    for _ in range(k):
-        region, rec = draw_region_first(rng, plan.by_region)
-        separated = rec.provenance == PROVENANCE_SEPARATED
-        drawn.append((region, rec, separated and rng.random() < plan.clean_ratio))
-    return drawn
+    tuples = []
+    for _, seed_seq in seeded_tasks(m, seed):
+        rng = np.random.default_rng(seed_seq)
+        drawn = []
+        for _ in range(int(rng.integers(k_lo, k_hi + 1))):
+            region, rec = draw_region_first(rng, by_region)
+            separated = rec.provenance == PROVENANCE_SEPARATED
+            drawn.append((region, rec, separated and rng.random() < clean_ratio))
+        tuples.append(drawn)
+    return tuples
 
 
 def sum_tuple(drawn: Sequence, num_regions: int, signal_of) -> TrainingTuple:
@@ -392,10 +371,9 @@ def build_training_tuples(
     m: int,
     seed: int,
 ) -> List[TrainingTuple]:
-    """The ``m`` tuples of ``plan_training_tuples(db, ...)``, in order: tuple
-    ``t`` sums ``draw_tuple_sources`` of task ``t`` of ``seeded_tasks(m, seed)``."""
-    plan = plan_training_tuples(db, layout, k_range, clean_ratio)
+    """The ``m`` tuples of ``draw_tuples(db, ...)``, in order, each summed
+    in memory."""
     return [
-        sum_tuple(draw_tuple_sources(plan, seq), plan.num_regions, _signal_of)
-        for _, seq in seeded_tasks(m, seed)
+        sum_tuple(drawn, layout.num_regions, _signal_of)
+        for drawn in draw_tuples(db, layout, k_range, clean_ratio, m, seed)
     ]

@@ -31,7 +31,14 @@ from .itd_model import (
     classify_itds,
     log_joint,
 )
-from .stft import StftConfig, clustering_config, frame_blocks, istft_many, stft_many
+from .stft import (
+    StftConfig,
+    check_invertible,
+    clustering_config,
+    frame_blocks,
+    istft_many,
+    stft_many,
+)
 
 REASON_NO_DOMINANT_FRAMES = "no_dominant_frames"
 
@@ -68,6 +75,7 @@ class SeparationConfig:
             )
         if self.sigma_th <= 0 or self.delta_tau_min <= 0:
             raise ValueError("sigma_th and delta_tau_min must be positive")
+        check_invertible(self.stft)
 
     @property
     def f_aliasing(self) -> float:

@@ -234,10 +234,21 @@ def _window_sum(cfg: StftConfig, n_frames: int, original_length: int) -> np.ndar
     wsum = acc[lead : lead + min(original_length, out_len - lead)]
     if wsum.size and wsum.min() < WSUM_FLOOR:
         raise ValueError(
-            "overlapped squared-window sum underflows the 1e-12 floor; "
-            "check fft_size/hop configuration"
+            f"fft_size {cfg.fft_size} with hop {cfg.hop} cannot be inverted: "
+            f"the overlapped squared-window sum underflows the {WSUM_FLOOR:g} floor"
         )
     return wsum
+
+
+def check_invertible(cfg: StftConfig) -> None:
+    """Raise ValueError if inverting an input under ``cfg`` would divide by
+    a squared-window overlap sum below the floor.
+
+    The probe of ``fft_size // 2 + hop`` samples covers the lead-in and one
+    full hop period, so its smallest sum is that of any input length.
+    """
+    probe = _lead_pad(cfg) + cfg.hop
+    _window_sum(cfg, _num_frames(probe, cfg), probe)
 
 
 def _invert_into(

@@ -250,7 +250,7 @@ def oracle_features(
 
 
 def oracle_render(samples: np.ndarray, taps: np.ndarray, gain: float, n_out: int):
-    """One ear of ``_render_source`` as a direct convolution: the first
+    """One ear of ``render_binaural_source`` as a direct convolution: the first
     ``n_out`` samples of ``gain * np.convolve(samples, taps)``, zero-padded."""
     y = gain * np.convolve(samples, taps)
     out = np.zeros(n_out)

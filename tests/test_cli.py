@@ -130,10 +130,20 @@ def test_invalid_config_exit_2(tmp_path, capsys):
     mixture, *_ = two_source_scene(315.0, 45.0, seed=22, duration=1.0)
     wav = tmp_path / "mix.wav"
     write_wav(mixture, wav)
-    for command in (["dataset", "--num", "1"], ["separate", str(wav)]):
-        out = tmp_path / f"alpha_{command[0]}"
-        assert main([*command, "--alpha", "0.5", "--out", str(out)]) == 2, command
-        assert "alpha" in capsys.readouterr().err
+    dataset, separate = ["dataset", "--num", "1"], ["separate", str(wav)]
+    # without overlap the squared window's edges fall below the inverse
+    # STFT's floor, so these sizes are refused before any input is read
+    cases = [
+        (dataset, ["--alpha", "0.5"], "alpha"),
+        (separate, ["--alpha", "0.5"], "alpha"),
+        (dataset, ["--fft-size=2048", "--hop=2048"], "fft_size 2048 with hop 2048"),
+        (separate, ["--fft-size=4096", "--hop=4096"], "fft_size 4096 with hop 4096"),
+    ]
+    for i, (command, flags, message) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        assert main([*command, *flags, "--out", str(out)]) == 2, flags
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err, err
         assert not out.exists()
 
     bad = tmp_path / "bad.json"

@@ -29,13 +29,11 @@ from regionsep.dataset import (
     PROVENANCE_SEPARATED,
     PROVENANCE_SINGLE,
     draw_mixture_params,
-    draw_tuple_sources,
-    plan_training_tuples,
+    draw_tuples,
     read_stored,
     store_records,
     sum_tuple,
 )
-from regionsep.parallel import seeded_tasks
 from regionsep.signals import make_source_pool
 from helpers import DTM, SR, harvest, spherical_bank
 
@@ -235,11 +233,10 @@ def test_tuples_drawn_from_stored_labels_equal_the_tuples_in_memory(
     records, _ = harvested
     layout = default_layout_r3()
     stored = store_records(records, tmp_path)
-    plan = plan_training_tuples(stored, layout, (2, 4), ratio)
     signal_of = partial(read_stored, tmp_path)
     from_store = [
-        sum_tuple(draw_tuple_sources(plan, seq), plan.num_regions, signal_of)
-        for _, seq in seeded_tasks(12, 6)
+        sum_tuple(drawn, layout.num_regions, signal_of)
+        for drawn in draw_tuples(stored, layout, (2, 4), ratio, m=12, seed=6)
     ]
     in_memory = build_training_tuples(records, layout, (2, 4), ratio, m=12, seed=6)
     assert len(from_store) == len(in_memory) == 12

@@ -174,6 +174,22 @@ def test_classify_components_too_wide():
     assert verdict.reason == REASON_COMPONENTS_TOO_WIDE
 
 
+def test_classify_thresholds_at_equality():
+    # each threshold sits exactly on the fitted value it compares against:
+    # only a strictly narrower single fit is one peak, a component as wide
+    # as sigma_th is narrow enough, and peaks delta_tau_min apart are far
+    # enough apart
+    rng = np.random.default_rng(3)
+    x = _bimodal(rng, -3e-4, 3e-4, 2e-5, 800)
+    single = fit_single_gaussian(x)
+    c1, c2, _ = fit_gmm2(x)
+    gap = abs(c1.mean - c2.mean)
+    wider = max(c1.std, c2.std)
+    assert not isinstance(classify_itds(x, single.std, DTAU_MIN), SinglePeak)
+    assert isinstance(classify_itds(x, wider, gap / 2), TwoPeaks)
+    assert isinstance(classify_itds(x, SIGMA_TH, gap), TwoPeaks)
+
+
 def test_component_validation():
     with pytest.raises(ValueError, match="std"):
         GaussianComponent(mean=0.0, std=0.0)

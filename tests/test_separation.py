@@ -14,6 +14,7 @@ from regionsep import (
     Passthrough,
     Separated,
     SeparationConfig,
+    StftConfig,
     Waveform,
     aliased_frequency_masks,
     compute_features,
@@ -52,6 +53,11 @@ def test_config_validation():
         SeparationConfig(sigma_th=0.0)
     with pytest.raises(ValueError, match="positive"):
         SeparationConfig(delta_tau_min=0.0)
+    # without overlap a 2048-point window's squared edge is below the floor
+    with pytest.raises(ValueError, match="fft_size 2048 with hop 2048 cannot be"):
+        SeparationConfig(stft=StftConfig(2048, 2048, SR))
+    for fft_size, hop in ((1024, 1024), (4096, 2048)):
+        SeparationConfig(stft=StftConfig(fft_size, hop, SR))
 
 
 def test_dominance_hand_trace_no_decay():
