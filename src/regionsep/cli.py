@@ -198,7 +198,7 @@ def _check_pool_args(args, *counts: str) -> int:
 
 def _load_pool(args, params: dict, cfg: SeparationConfig, min_sources: int) -> dict:
     """WAV directory if given, else a seeded synthetic band-noise pool."""
-    if getattr(args, "pool", None):
+    if args.pool:
         if not Path(args.pool).is_dir():
             raise NotADirectoryError(f"--pool {args.pool} is not a directory")
         pool = {}
@@ -245,7 +245,7 @@ def _check_rate(what: str, rate: int, cfg: SeparationConfig) -> None:
 
 
 def _load_bank(args, cfg: SeparationConfig):
-    if getattr(args, "hrir_bank", None):
+    if args.hrir_bank:
         bank = load_hrir_bank(args.hrir_bank)
         _check_rate(f"HRIR bank {args.hrir_bank}", bank.sample_rate, cfg)
         return bank
@@ -382,8 +382,11 @@ def _region_id(path: Path) -> int:
 def cmd_eval(args) -> int:
     refs_root = Path(args.references)
     est_root = Path(args.estimates)
+    scene_dirs = sorted(p for p in refs_root.iterdir() if p.is_dir())
+    if not scene_dirs:
+        raise AudioFormatError(f"{refs_root} holds no scene directory")
     lines = []
-    for scene_dir in sorted(p for p in refs_root.iterdir() if p.is_dir()):
+    for scene_dir in scene_dirs:
         mixture_path = scene_dir / "mixture.wav"
         mixture = _read_binaural(mixture_path)
         region_paths = sorted(scene_dir.glob("region_*.wav"), key=_region_id)

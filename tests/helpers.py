@@ -14,17 +14,17 @@ import numpy as np
 
 from regionsep import (
     BinauralSignal,
-    HrirBank,
     SeparationConfig,
     Waveform,
     compute_features,
-    fit_single_gaussian,
     make_spherical_bank,
     render_binaural_source,
     spherical_itd,
     stft,
 )
 from regionsep.dataset import DirtyBuildStats, harvest_mixture
+from regionsep.hrir import HrirBank
+from regionsep.itd_model import fit_single_gaussian
 from regionsep.parallel import seeded_tasks
 from regionsep.scenes import RegionMixtureSet, region_of_azimuth
 from regionsep.signals import band_noise_source

@@ -14,30 +14,25 @@ import pytest
 from regionsep import (
     BinauralSignal,
     EmSettings,
-    LossConfig,
     Passthrough,
-    RegionMixtureSet,
     Separated,
     SeparationConfig,
     Waveform,
-    aliasing_bin,
-    clustering_config,
     compute_features,
     default_layout_r3,
-    fit_gmm2,
-    fit_single_gaussian,
     istft,
-    loss_inactive,
-    loss_snr,
     random_scene,
-    region_loss,
     separate,
     snri,
     stft,
     synth_scene,
 )
 from regionsep import Discarded
-from regionsep.itd_model import REASON_TOO_FEW
+from regionsep.features import aliasing_bin
+from regionsep.itd_model import REASON_TOO_FEW, fit_gmm2, fit_single_gaussian
+from regionsep.metrics import LossConfig, loss_inactive, loss_snr, region_loss
+from regionsep.scenes import RegionMixtureSet
+from regionsep.stft import clustering_config
 from helpers import (
     SR,
     check_mask_algebra,

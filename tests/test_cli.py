@@ -24,7 +24,6 @@ from regionsep import (
     Waveform,
     make_source_pool,
     make_spherical_bank,
-    outcome_records,
     read_manifest,
     read_wav,
     save_hrir_bank,
@@ -33,7 +32,7 @@ from regionsep import (
 )
 from regionsep.audio import max_wav_frames, max_wav_rate
 from regionsep.cli import main
-from regionsep.dataset import harvest_mixture, store_records
+from regionsep.dataset import harvest_mixture, outcome_records, store_records
 from regionsep.features import aliasing_bin
 from regionsep.hrir import BANK_MAGIC, BANK_VERSION
 from helpers import DTM, SR, harvest, mixed_tap_bank, wav_bytes
@@ -728,6 +727,23 @@ def test_eval_scene_without_regions_exit_3(tmp_path, capsys):
 
     err = _eval_malformed_scene(tmp_path, capsys, drop_regions)
     assert "scene_0000 holds no region_N.wav reference" in err
+
+
+@pytest.mark.parametrize("given", ["empty", "scene"])
+def test_eval_references_without_a_scene_directory_exit_3(tmp_path, capsys, given):
+    # a scene directory itself holds only WAV files, no scene directory
+    refs = tmp_path / "refs"
+    if given == "empty":
+        refs.mkdir()
+    else:
+        assert _synth(tmp_path / "scenes", seed=5, num=1) == 0
+        refs = tmp_path / "scenes" / "scene_0000"
+    report = tmp_path / "report.jsonl"
+    argv = ["eval", "--estimates", str(refs), "--references", str(refs)]
+    assert main(argv + ["--out", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert f"{refs} holds no scene directory" in err
+    assert not report.exists()
 
 
 def test_eval_scene_of_silent_regions_exit_3(tmp_path, capsys):

@@ -10,18 +10,15 @@ import pytest
 from regionsep import (
     BinauralSignal,
     Discarded,
-    ManifestEntry,
     Passthrough,
     Separated,
     Waveform,
     SeparationConfig,
     build_training_tuples,
     default_layout_r3,
-    outcome_records,
     read_manifest,
     region_of_itd,
     spherical_itd,
-    write_manifest,
 )
 from regionsep.dataset import (
     PROVENANCE_CLEAN,
@@ -30,10 +27,12 @@ from regionsep.dataset import (
     PROVENANCE_SINGLE,
     draw_mixture_params,
     draw_tuples,
+    outcome_records,
     read_stored,
     store_records,
     sum_tuple,
 )
+from regionsep.manifest import ManifestEntry, write_manifest
 from regionsep.signals import make_source_pool
 from helpers import DTM, SR, harvest, spherical_bank
 

@@ -5,16 +5,12 @@ import pytest
 
 import regionsep.parallel as parallel
 from regionsep import (
-    StftConfig,
     Waveform,
-    aliasing_bin,
-    aliasing_frequency,
-    clustering_config,
     compute_features,
     stft,
 )
-from regionsep.features import FeatureGrid
-from regionsep.stft import BLOCK_FRAMES, Spectrogram
+from regionsep.features import FeatureGrid, aliasing_bin, aliasing_frequency
+from regionsep.stft import BLOCK_FRAMES, Spectrogram, StftConfig, clustering_config
 from helpers import oracle_features
 
 

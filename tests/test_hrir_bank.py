@@ -5,14 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from regionsep import (
-    AudioFormatError,
-    HrirBank,
-    Waveform,
-    load_hrir_bank,
-    save_hrir_bank,
-)
-from regionsep.hrir import BANK_MAGIC, BANK_VERSION
+from regionsep import Waveform, load_hrir_bank, save_hrir_bank
+from regionsep.audio import AudioFormatError
+from regionsep.hrir import BANK_MAGIC, BANK_VERSION, HrirBank
 
 
 def _bank(azimuths, taps=8, sr=16000):

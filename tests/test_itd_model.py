@@ -8,16 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regionsep import (
-    Discard,
-    EmSettings,
-    GaussianComponent,
-    SinglePeak,
-    TwoPeaks,
-    classify_itds,
-    fit_gmm2,
-    fit_single_gaussian,
-)
+from regionsep import EmSettings, classify_itds
 import regionsep.itd_model as itd_model
 from regionsep.itd_model import (
     EM_RESTARTS,
@@ -26,7 +17,13 @@ from regionsep.itd_model import (
     REASON_TOO_FEW,
     REASON_WIDE_SINGLE_BAD_GMM,
     STD_FLOOR,
+    Discard,
     EmFailure,
+    GaussianComponent,
+    SinglePeak,
+    TwoPeaks,
+    fit_gmm2,
+    fit_single_gaussian,
     log_joint,
 )
 from helpers import oracle_log_joint
@@ -274,7 +271,7 @@ def test_fit_gmm2_does_not_import_numpy_ma():
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "from regionsep import fit_gmm2\n"
+        "from regionsep.itd_model import fit_gmm2\n"
         "before = 'numpy.ma' in sys.modules\n"
         "fit_gmm2(np.random.default_rng(0).normal(size=400))\n"
         "print(before, 'numpy.ma' in sys.modules)\n"

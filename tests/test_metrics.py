@@ -3,19 +3,18 @@
 import numpy as np
 import pytest
 
-from regionsep import (
-    BinauralSignal,
+from regionsep import BinauralSignal, Waveform, snri
+from regionsep.metrics import (
+    LOSS_FLOOR_DB,
+    SNR_CLAMP_DB,
     LossConfig,
-    RegionMixtureSet,
-    Waveform,
     evaluate_regions,
     loss_inactive,
     loss_snr,
     region_loss,
     snr,
-    snri,
 )
-from regionsep.metrics import LOSS_FLOOR_DB, SNR_CLAMP_DB
+from regionsep.scenes import RegionMixtureSet
 from helpers import swap_ears
 
 

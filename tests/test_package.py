@@ -7,6 +7,7 @@ from pathlib import Path
 import regionsep
 
 PACKAGE = Path(regionsep.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _private_uses(source: str):
@@ -56,6 +57,95 @@ def test_no_module_uses_another_modules_private_names():
         for path in sorted(PACKAGE.glob("*.py"))
         for use in _private_uses(path.read_text())
     ]
+    assert found == []
+
+
+def _root_bindings(source: str):
+    """The names a package root's top-level imports and assignments bind,
+    with their lines. ``from . import x`` binds the submodule ``x`` and is
+    left out."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.module is not None:
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node.lineno
+
+
+def _root_uses(source: str):
+    """The names the source takes from the package root: ``from regionsep
+    import x``, or ``alias.x`` after ``import regionsep as alias``."""
+    aliases = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "regionsep":
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "regionsep" and not alias.asname:
+                    aliases.add("regionsep")
+                elif alias.name == "regionsep":
+                    aliases.add(alias.asname)
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            yield node.attr
+
+
+def _root_surface_faults(root: str, submodules: set, users: list, rebinds: set):
+    """Root names, dunders aside, that no user source takes from the root,
+    and root names that rebind a submodule other than those in ``rebinds``."""
+    used = {name for source in users for name in _root_uses(source)}
+    for name, line in _root_bindings(root):
+        if name.startswith("__"):
+            continue
+        if name in submodules and name not in rebinds:
+            yield f"line {line}: {name} rebinds its submodule"
+        if name not in used:
+            yield f"line {line}: {name} has no caller outside tests/"
+
+
+def test_the_root_surface_rule_finds_each_form():
+    root = (
+        "from .stft import istft, stft\n"
+        "from .audio import read_wav as audio\n"
+        "from .features import unused, used\n"
+        "from . import parallel\n"
+        "__version__ = '0'\n"
+        "limit = 1\n"
+    )
+    users = [
+        "import regionsep as rs\nrs.stft(x); rs.istft(y)\n",
+        "from regionsep import audio\n",
+        "import regionsep.cli\nregionsep.used\n",
+    ]
+    submodules = {"audio", "features", "parallel", "stft"}
+    assert sorted(_root_surface_faults(root, submodules, users, {"stft"})) == [
+        "line 2: audio rebinds its submodule",
+        "line 3: unused has no caller outside tests/",
+        "line 6: limit has no caller outside tests/",
+    ]
+
+
+def test_the_package_root_exports_only_what_a_caller_outside_tests_uses():
+    # `stft` stays the function over its submodule: perfbench's traced
+    # replay calls rs.stft(...) and rs.istft(...), perfbench/selftest.py
+    # runs that replay, and perfbench/ changes only with the benchmark.
+    # `from regionsep.stft import X` still reaches the module's names.
+    package = REPO / "src" / "regionsep"
+    users = sorted([*package.glob("*.py"), *(REPO / "perfbench").glob("*.py")])
+    found = list(
+        _root_surface_faults(
+            (package / "__init__.py").read_text(),
+            {path.stem for path in package.glob("*.py")},
+            [path.read_text() for path in users],
+            {"stft"},
+        )
+    )
     assert found == []
 
 

@@ -8,26 +8,30 @@ import pytest
 
 from regionsep import (
     BinauralSignal,
-    HrirBank,
-    RegionLayout,
-    SceneSource,
     SceneSpec,
     Waveform,
-    clustering_config,
     compute_features,
     default_layout_r3,
     random_scene,
-    region_of_azimuth,
     region_of_itd,
     render_binaural_source,
     spherical_itd,
     stft,
-    sum_regions,
     synth_scene,
-    synth_spherical_hrir,
 )
 import regionsep.scenes as scenes
-from regionsep.scenes import RENDER_GROUP_BLOCKS, _fft_size, draw_region_first
+from regionsep.hrir import HrirBank
+from regionsep.scenes import (
+    RENDER_GROUP_BLOCKS,
+    RegionLayout,
+    SceneSource,
+    _fft_size,
+    draw_region_first,
+    region_of_azimuth,
+    sum_regions,
+    synth_spherical_hrir,
+)
+from regionsep.stft import clustering_config
 from helpers import DTM, SR, mixed_tap_bank, oracle_render, oracle_synth_scene
 from helpers import spherical_bank
 

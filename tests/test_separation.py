@@ -10,11 +10,9 @@ import regionsep.parallel as parallel
 from regionsep import (
     BinauralSignal,
     Discarded,
-    GaussianComponent,
     Passthrough,
     Separated,
     SeparationConfig,
-    StftConfig,
     Waveform,
     aliased_frequency_masks,
     compute_features,
@@ -26,8 +24,9 @@ from regionsep import (
     stft,
 )
 from regionsep.features import FeatureGrid
-from regionsep.itd_model import REASON_PEAKS_TOO_CLOSE
+from regionsep.itd_model import REASON_PEAKS_TOO_CLOSE, GaussianComponent
 from regionsep.separation import REASON_NO_DOMINANT_FRAMES
+from regionsep.stft import StftConfig
 from helpers import (
     SR,
     check_mask_algebra,

@@ -3,17 +3,12 @@
 import numpy as np
 import pytest
 
-from regionsep import (
-    Spectrogram,
-    StftConfig,
-    Waveform,
-    clustering_config,
-    compute_features,
-    istft,
-    stft,
-)
+from regionsep import Waveform, compute_features, istft, stft
 from regionsep.stft import (
     BLOCK_FRAMES,
+    Spectrogram,
+    StftConfig,
+    clustering_config,
     _window_sum,
     istft_many,
     stft_many,

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from regionsep import AudioFormatError, BinauralSignal, Waveform, read_wav, write_wav
+from regionsep import BinauralSignal, Waveform, read_wav, write_wav
+from regionsep.audio import AudioFormatError
 from regionsep.audio import ENCODE_BLOCK, finite_waveform, max_wav_frames, max_wav_rate
 from helpers import oracle_decode, oracle_write_wav, wav_bytes
 
