@@ -142,16 +142,17 @@ def _load_params(args) -> dict:
             )
         for key, value in file_values.items():
             kind = type(_DEFAULTS[key])
-            # the conversion would read true as 1 and truncate 3.9 to 3
-            if isinstance(value, bool) or (
-                kind is int and isinstance(value, float) and not value.is_integer()
-            ):
+            # only a JSON number the key's type holds: the conversion would
+            # parse "3", read true as 1 and truncate 3.9 to 3
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            try:
+                typed = kind(value) if number else None
+            except (OverflowError, ValueError):  # int(inf), int(nan), float(10**400)
+                typed = None
+            if typed is None or (kind is int and typed != value):
                 got = f"{json.dumps(value)} is not of type {kind.__name__}"
                 raise ConfigError(f"config key {key}: {got}")
-            try:
-                params[key] = kind(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {key}: {exc}") from exc
+            params[key] = typed
     for key in keys:
         flag = getattr(args, key)
         if flag is not None:

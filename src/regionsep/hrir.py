@@ -23,7 +23,8 @@ SNAP_TOLERANCE_DEG = 10.0
 
 @dataclass(frozen=True)
 class HrirBank:
-    """Left/right impulse-response pairs keyed by azimuth in [0, 360)."""
+    """Left/right impulse-response pairs keyed by azimuth in [0, 360); both
+    ears of a pair have the same tap count."""
 
     entries: dict  # azimuth degrees -> (left: Waveform, right: Waveform)
     sample_rate: int
@@ -38,6 +39,8 @@ class HrirBank:
                 raise ValueError(f"sample-rate mismatch at azimuth {az}")
             if not len(left) or not len(right):
                 raise ValueError(f"empty impulse response at azimuth {az}")
+            if len(left) != len(right):
+                raise ValueError(f"left/right tap count mismatch at azimuth {az}")
 
     @property
     def azimuths(self) -> np.ndarray:
@@ -62,8 +65,6 @@ def save_hrir_bank(bank: HrirBank, path) -> None:
     ]
     for az in sorted(bank.entries):
         left, right = bank.entries[az]
-        if len(left) != len(right):
-            raise ValueError(f"left/right tap count mismatch at azimuth {az}")
         parts.append(struct.pack("<dI", az, len(left)))
         parts.append(left.samples.astype("<f8").tobytes())
         parts.append(right.samples.astype("<f8").tobytes())

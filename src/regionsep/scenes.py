@@ -275,7 +275,7 @@ def _hrir_pair(
         )
     snapped = bank.nearest_azimuth(azimuth)
     h_left, h_right = bank.entries[snapped]
-    return snapped, h_left.samples, h_right.samples, max(len(h_left), len(h_right))
+    return snapped, h_left.samples, h_right.samples, len(h_left)
 
 
 def _written_zeros(n: int) -> np.ndarray:

@@ -33,7 +33,6 @@ from .itd_model import (
 )
 from .stft import (
     StftConfig,
-    check_invertible,
     clustering_config,
     frame_blocks,
     istft_many,
@@ -75,7 +74,6 @@ class SeparationConfig:
             )
         if self.sigma_th <= 0 or self.delta_tau_min <= 0:
             raise ValueError("sigma_th and delta_tau_min must be positive")
-        check_invertible(self.stft)
 
     @property
     def f_aliasing(self) -> float:

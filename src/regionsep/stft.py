@@ -1,13 +1,15 @@
 """Short-time Fourier transform with weighted overlap-add reconstruction.
 
 Analysis frames are taken from a signal zero-padded by half a frame on
-the left (centered convention), so every real sample is covered by at
-least two overlapping frames. That keeps the squared-window overlap sum
-bounded well away from zero, which matters when inverting a *masked*
-spectrogram: with no lead-in padding the first hop of samples is covered
-by a single frame whose window tail is ~1e-6, and dividing the (no longer
-consistent) masked frames by that squared tail amplifies edge garbage by
-many orders of magnitude.
+the left (centered convention), and ``StftConfig`` requires a hop of at
+most half a frame, so every real sample is covered by at least two
+overlapping frames. That bounds the squared-window overlap sum below by
+1/2 over every sample of the signal (at ``hop = N/2`` a sample's two
+terms are ``sin(t)**4 + cos(t)**4 >= 1/2``; a smaller hop only adds
+terms), which matters when inverting a *masked* spectrogram: a sample
+covered by one frame's window tail alone (~1e-6) would divide the (no
+longer consistent) masked frames by that squared tail and amplify edge
+garbage by many orders of magnitude.
 
 The window is a Hann curve sampled on the half-integer grid
 ``w[n] = 0.5 - 0.5*cos(2*pi*(n + 0.5)/N)``, which keeps the exact
@@ -30,11 +32,11 @@ frames ``r, r+P, r+2P, ...`` start ``P*hop >= N`` samples apart and never
 overlap, so each of the ``P`` phases is one vectorised add into a
 ``(frames, P*hop)`` view of the output instead of one add per frame. The
 squared-window sum is built the same way, from a broadcast of ``w**2``
-over every frame. At the default ``hop = N/2`` each output sample sums at
-most two frames, and a two-term floating-point sum does not depend on its
-order (nor on which block each term came from), so the result equals a
-frame-by-frame loop's bit for bit; with more overlap the summation order
-differs and results agree to rounding.
+over every frame. At the default and largest ``hop = N/2`` each output
+sample sums at most two frames, and a two-term floating-point sum does
+not depend on its order (nor on which block each term came from), so the
+result equals a frame-by-frame loop's bit for bit; with more overlap the
+summation order differs and results agree to rounding.
 
 ``stft_many`` and ``istft_many`` transform several channels, or several
 masked versions of one channel, at once. They allocate every result in
@@ -61,7 +63,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .audio import DEFAULT_SAMPLE_RATE, Waveform, finite_waveform
 from .parallel import thread_map
 
-WSUM_FLOOR = 1e-12
 BLOCK_FRAMES = 256  # about 8 s at the 512-sample hop and 16 kHz
 
 
@@ -74,8 +75,11 @@ class StftConfig:
     def __post_init__(self):
         if self.fft_size <= 0 or (self.fft_size & (self.fft_size - 1)) != 0:
             raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
-        if not 0 < self.hop <= self.fft_size:
-            raise ValueError(f"hop must be in (0, fft_size], got {self.hop}")
+        if not 0 < self.hop <= self.fft_size // 2:
+            raise ValueError(
+                f"fft_size {self.fft_size} with hop {self.hop} cannot be inverted: "
+                "hop must be in (0, fft_size // 2]"
+            )
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
@@ -231,24 +235,7 @@ def _window_sum(cfg: StftConfig, n_frames: int, original_length: int) -> np.ndar
     _overlap_add(acc, np.broadcast_to(win * win, (n_frames, cfg.fft_size)), cfg.hop)
     lead = _lead_pad(cfg)
     out_len = (n_frames - 1) * cfg.hop + cfg.fft_size
-    wsum = acc[lead : lead + min(original_length, out_len - lead)]
-    if wsum.size and wsum.min() < WSUM_FLOOR:
-        raise ValueError(
-            f"fft_size {cfg.fft_size} with hop {cfg.hop} cannot be inverted: "
-            f"the overlapped squared-window sum underflows the {WSUM_FLOOR:g} floor"
-        )
-    return wsum
-
-
-def check_invertible(cfg: StftConfig) -> None:
-    """Raise ValueError if inverting an input under ``cfg`` would divide by
-    a squared-window overlap sum below the floor.
-
-    The probe of ``fft_size // 2 + hop`` samples covers the lead-in and one
-    full hop period, so its smallest sum is that of any input length.
-    """
-    probe = _lead_pad(cfg) + cfg.hop
-    _window_sum(cfg, _num_frames(probe, cfg), probe)
+    return acc[lead : lead + min(original_length, out_len - lead)]
 
 
 def _invert_into(

@@ -28,7 +28,7 @@ from regionsep.itd_model import fit_single_gaussian
 from regionsep.parallel import seeded_tasks
 from regionsep.scenes import RegionMixtureSet, region_of_azimuth
 from regionsep.signals import band_noise_source
-from regionsep.stft import BLOCK_FRAMES, WSUM_FLOOR, Spectrogram
+from regionsep.stft import BLOCK_FRAMES, Spectrogram
 
 SR = 16000
 DTM = SeparationConfig().delta_tau_max  # seconds
@@ -383,10 +383,7 @@ def oracle_window_sum(cfg, n_frames: int, original_length: int) -> np.ndarray:
     w2 = _hann(n) ** 2
     acc = np.zeros((n_frames - 1) * cfg.hop + n)
     _phase_ordered_overlap_add(acc, np.broadcast_to(w2, (n_frames, n)), 0, cfg)
-    wsum = acc[lead : lead + min(original_length, len(acc) - lead)]
-    if np.any(wsum < WSUM_FLOOR):
-        raise ValueError("overlapped squared-window sum underflows the 1e-12 floor")
-    return wsum
+    return acc[lead : lead + min(original_length, len(acc) - lead)]
 
 
 def oracle_istft(spec, mask=None) -> np.ndarray:

@@ -130,11 +130,12 @@ def test_invalid_config_exit_2(tmp_path, capsys):
     wav = tmp_path / "mix.wav"
     write_wav(mixture, wav)
     dataset, separate = ["dataset", "--num", "1"], ["separate", str(wav)]
-    # without overlap the squared window's edges fall below the inverse
-    # STFT's floor, so these sizes are refused before any input is read
+    # a hop above half the frame leaves samples under one window's tail,
+    # so these sizes are refused before any input is read
     cases = [
         (dataset, ["--alpha", "0.5"], "alpha"),
         (separate, ["--alpha", "0.5"], "alpha"),
+        (separate, ["--fft-size=1024", "--hop=1024"], "fft_size 1024 with hop 1024"),
         (dataset, ["--fft-size=2048", "--hop=2048"], "fft_size 2048 with hop 2048"),
         (separate, ["--fft-size=4096", "--hop=4096"], "fft_size 4096 with hop 4096"),
     ]
@@ -932,8 +933,14 @@ def test_bad_duration_and_clean_ratio_exit_2_before_writing(tmp_path, capsys):
         (["synth", "--duration", "0"], f"{fewer} 1 samples"),
         (["synth", "--duration", "nan"], f"{fewer} 1 samples"),
     ]
-    # int() would truncate a fraction and read a boolean as 0 or 1
+    # int() would truncate a fraction and read a boolean as 0 or 1, int() and
+    # float() would parse a string, and float() overflows on a huge integer
+    huge = "1" + "0" * 400
     not_of_type = [
+        ("synth", '{"seed": "3"}', 'seed: "3" is not of type int'),
+        ("dataset", '{"sample_rate": "16_000"}', 'sample_rate: "16_000" is not of type int'),
+        ("synth", '{"duration": " 0.5 "}', 'duration: " 0.5 " is not of type float'),
+        ("synth", f'{{"duration": {huge}}}', f"duration: {huge} is not of type float"),
         ("synth", '{"seed": 3.9}', "seed: 3.9 is not of type int"),
         ("dataset", '{"hop": 256.7}', "hop: 256.7 is not of type int"),
         ("synth", '{"seed": true}', "seed: true is not of type int"),

@@ -113,7 +113,7 @@ def test_synth_scene_hand_convolution():
     bank = HrirBank(
         entries={
             0.0: (
-                Waveform(np.array([0.5]), sr),
+                Waveform(np.array([0.5, 0.0]), sr),
                 Waveform(np.array([0.0, 0.25]), sr),
             )
         },

@@ -41,6 +41,13 @@ def test_config_validation():
         StftConfig(fft_size=1024, hop=2048, sample_rate=16000)
     with pytest.raises(ValueError, match="sample_rate"):
         StftConfig(fft_size=1024, hop=512, sample_rate=0)
+    # a hop of at most half a frame covers every sample with two frames
+    for n in (2, 8, 1024, 4096):
+        assert StftConfig(fft_size=n, hop=n // 2, sample_rate=16000).hop == n // 2
+        for hop in (n // 2 + 1, n):
+            message = f"fft_size {n} with hop {hop} cannot be inverted"
+            with pytest.raises(ValueError, match=message):
+                StftConfig(fft_size=n, hop=hop, sample_rate=16000)
 
 
 def test_clustering_config_constants():
@@ -166,14 +173,14 @@ def _unblocked_stft_bins(x, cfg):
         (1024, 256, False),
         (1024, 384, False),
         (256, 128, True),
-        (1024, 1024, True),
+        (2048, 1024, True),
     ],
 )
 def test_istft_matches_frame_loop_oracle(fft_size, hop, exact):
     # stft rows are independent transforms, so blocking leaves them equal.
-    # At hop = N/2 every sample sums two frames (one at hop = N), so the
-    # blocked phase-wise overlap-add is bit-identical; with more overlap
-    # only the summation order differs
+    # At hop = N/2 every sample sums two frames, so the blocked phase-wise
+    # overlap-add is bit-identical; with more overlap only the summation
+    # order differs
     cfg = StftConfig(fft_size=fft_size, hop=hop, sample_rate=16000)
     rng = np.random.default_rng(fft_size + hop)
     # the longest signal with each frame count; a count that needs fewer
@@ -216,7 +223,7 @@ def test_istft_keeps_original_length_beyond_frames():
     assert np.array_equal(back.samples, _istft_oracle(spec))
 
 
-@pytest.mark.parametrize("hop", [512, 256, 384, 1024])
+@pytest.mark.parametrize("hop", [512, 256, 384])
 def test_istft_keeps_the_block_summation_order(hop):
     """Each sample's terms are summed in the order of a frame-by-frame
     loop over each block's frames by phase, then by time, bit for bit at
@@ -239,7 +246,7 @@ def test_istft_many_of_nothing_is_empty():
     assert istft_many(iter([])) == []
 
 
-@pytest.mark.parametrize("hop", [512, 256, 384, 1024])
+@pytest.mark.parametrize("hop", [512, 256, 384])
 def test_window_sum_equals_the_oracle_overlap_add(hop):
     """``_window_sum`` alone equals a frame-by-frame sum of the squared
     window in phase order, bit for bit at every hop: every kept sample, at
@@ -256,16 +263,16 @@ def test_window_sum_equals_the_oracle_overlap_add(hop):
             assert np.array_equal(got, want), (n_frames, length)
 
 
-@pytest.mark.parametrize("n_frames", [3, 40, 3751])
-def test_window_sum_floor_still_raises(n_frames):
-    # a 4096-point window's squared edge is about 2e-14: with no overlap,
-    # samples next to each frame boundary fall below the floor
-    cfg = StftConfig(fft_size=4096, hop=4096, sample_rate=16000)
-    length = (n_frames - 1) * 4096 + 2048
-    with pytest.raises(ValueError):
-        oracle_window_sum(cfg, n_frames, length)
-    with pytest.raises(ValueError, match="floor"):
-        _window_sum(cfg, n_frames, length)
+def test_window_sum_is_at_least_one_half():
+    """With a hop of at most half a frame, the squared-window sum that an
+    inversion divides by is at least 1/2 at every sample of the signal:
+    one sample, the lead-in and one hop period, and three frames and one."""
+    for n in (2, 4, 8, 16, 32, 64, 128, 256):
+        for hop in range(1, n // 2 + 1):
+            cfg = StftConfig(fft_size=n, hop=hop, sample_rate=16000)
+            for length in (1, n // 2 + hop, 3 * n + 1):
+                wsum = _window_sum(cfg, _frame_count(length, cfg), length)
+                assert len(wsum) == length and wsum.min() >= 0.5, (n, hop, length)
 
 
 def _spectrogram_pair(n_frames, seed=0):
