@@ -224,7 +224,6 @@ class StoredRecord:
     ``clean_span`` is None when the record has no clean original.
     """
 
-    itd: float
     region: int
     provenance: str
     origin_scene: str
@@ -255,7 +254,6 @@ def store_records(
                     f.write(np.ascontiguousarray(sig.right.samples))
     return [
         StoredRecord(
-            rec.itd,
             rec.region,
             rec.provenance,
             rec.origin_scene,

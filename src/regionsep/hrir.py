@@ -4,6 +4,8 @@ The bank file layout (all little-endian):
 
     magic "HRIRBANK" | version u32 | sample_rate u32 | entry count u32
     per entry: azimuth f64 (degrees) | tap count u32 | left taps f64[] | right taps f64[]
+
+The file ends after the last entry; ``load_hrir_bank`` rejects any byte after it.
 """
 
 from __future__ import annotations
@@ -97,6 +99,9 @@ def load_hrir_bank(path) -> HrirBank:
             if azimuth in entries:
                 raise AudioFormatError(f"duplicate azimuth {azimuth}")
             entries[azimuth] = (Waveform(left, sample_rate), Waveform(right, sample_rate))
+        if pos < len(data):
+            extra = len(data) - pos
+            raise AudioFormatError(f"{extra} bytes after entry {count} of {count}")
         return HrirBank(entries=entries, sample_rate=sample_rate)
     except ValueError as exc:
         # also no entry, a rate of 0, a NaN tap or a bad azimuth (``HrirBank``)

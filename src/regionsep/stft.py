@@ -3,13 +3,13 @@
 Analysis frames are taken from a signal zero-padded by half a frame on
 the left (centered convention), and ``StftConfig`` requires a hop of at
 most half a frame, so every real sample is covered by at least two
-overlapping frames. That bounds the squared-window overlap sum below by
-1/2 over every sample of the signal (at ``hop = N/2`` a sample's two
-terms are ``sin(t)**4 + cos(t)**4 >= 1/2``; a smaller hop only adds
-terms), which matters when inverting a *masked* spectrogram: a sample
-covered by one frame's window tail alone (~1e-6) would divide the (no
-longer consistent) masked frames by that squared tail and amplify edge
-garbage by many orders of magnitude.
+overlapping frames; a ``Spectrogram`` holds exactly ``stft``'s frames
+for its ``original_length``. So for every spectrogram that can be built
+the squared-window overlap sum is at least 1/2 over every sample of the
+signal (at ``hop = N/2`` a sample's two terms are ``sin(t)**4 +
+cos(t)**4 >= 1/2``; a smaller hop only adds terms). That matters when
+inverting a *masked* spectrogram: one frame's window tail (~1e-6) alone
+would divide the masked frames by its square and amplify edge garbage.
 
 The window is a Hann curve sampled on the half-integer grid
 ``w[n] = 0.5 - 0.5*cos(2*pi*(n + 0.5)/N)``, which keeps the exact
@@ -99,17 +99,20 @@ def clustering_config() -> StftConfig:
 
 @dataclass(frozen=True)
 class Spectrogram:
-    bins: np.ndarray  # complex, shape (frames, fft_size//2 + 1)
+    bins: np.ndarray  # complex, stft's (frames, fft_size//2 + 1) for original_length
     config: StftConfig
     original_length: int
 
     def __post_init__(self):
-        if self.bins.ndim != 2 or self.bins.shape[1] != self.config.num_bins:
+        if self.original_length < 0:
+            raise ValueError(f"original_length {self.original_length} is negative")
+        shape = (_num_frames(self.original_length, self.config), self.config.num_bins)
+        if self.bins.shape != shape:
             raise ValueError(
-                f"bins shape {self.bins.shape} inconsistent with fft_size "
-                f"{self.config.fft_size}"
+                f"bins shape {self.bins.shape} inconsistent with {self.config} at "
+                f"{self.original_length} samples: stft gives {shape}"
             )
-        if self.bins.size and not np.all(np.isfinite(self.bins)):
+        if not np.all(np.isfinite(self.bins)):
             raise ValueError("spectrogram contains non-finite entries")
 
     @property
@@ -123,9 +126,9 @@ class Spectrogram:
 def _computed_spectrogram(
     bins: np.ndarray, config: StftConfig, original_length: int
 ) -> Spectrogram:
-    """A Spectrogram of the ``(frames, config.num_bins)`` bins ``stft_many``
-    allocated and computed: they are not scanned (``compute_features``
-    checks their energy peak)."""
+    """A Spectrogram of the bins ``stft_many`` allocated, in the shape the
+    constructor requires, and computed: they are not checked again
+    (``compute_features`` checks their energy peak)."""
     spec = object.__new__(Spectrogram)
     object.__setattr__(spec, "bins", bins)
     object.__setattr__(spec, "config", config)
@@ -228,14 +231,14 @@ def _overlap_add(acc: np.ndarray, frames: np.ndarray, hop: int) -> None:
         view[:, :size] += group
 
 
-def _window_sum(cfg: StftConfig, n_frames: int, original_length: int) -> np.ndarray:
-    """The squared-window overlap sum over the samples an inversion keeps."""
+def _window_sum(cfg: StftConfig, original_length: int) -> np.ndarray:
+    """The squared-window overlap sum over an ``original_length``-sample signal."""
+    n_frames = _num_frames(original_length, cfg)
     win = _window(cfg.fft_size)
     acc = np.zeros(_synthesis_length(cfg, n_frames))
     _overlap_add(acc, np.broadcast_to(win * win, (n_frames, cfg.fft_size)), cfg.hop)
     lead = _lead_pad(cfg)
-    out_len = (n_frames - 1) * cfg.hop + cfg.fft_size
-    return acc[lead : lead + min(original_length, out_len - lead)]
+    return acc[lead : lead + original_length]
 
 
 def _invert_into(
@@ -269,36 +272,29 @@ def istft_many(
     """``istft(spec.masked(mask))`` for each ``(spec, mask)`` pair, or
     ``istft(spec)`` where the mask is None.
 
-    The spectrograms must share their configuration, frame count and
-    original length, so that one squared-window sum serves every pair.
-    Inversions run on threads when the spectrograms span several blocks.
+    The spectrograms must share their configuration and original length
+    (and so their frame count), so that one squared-window sum serves every
+    pair. Inversions run on threads when they span several blocks.
     """
     pairs = list(pairs)
     if not pairs:
         return []
-    layout = (pairs[0][0].config, pairs[0][0].num_frames, pairs[0][0].original_length)
+    layout = (pairs[0][0].config, pairs[0][0].original_length)
     for spec, mask in pairs:
-        if (spec.config, spec.num_frames, spec.original_length) != layout:
-            raise ValueError(
-                "spectrograms differ in configuration, frame count or length"
-            )
+        if (spec.config, spec.original_length) != layout:
+            raise ValueError("spectrograms differ in configuration or length")
         if mask is not None and mask.shape != spec.bins.shape:
             raise ValueError(
                 f"mask shape {mask.shape} != spectrogram shape {spec.bins.shape}"
             )
-    cfg, n_frames, length = layout
-    wsum = _window_sum(cfg, n_frames, length)
+    cfg, length = layout
+    n_frames = _num_frames(length, cfg)
+    wsum = _window_sum(cfg, length)
     accs = [np.zeros(_synthesis_length(cfg, n_frames)) for _ in pairs]
     thread_map(
         lambda job: _invert_into(*job, wsum, cfg),
         [(acc, spec.bins, mask) for acc, (spec, mask) in zip(accs, pairs)],
         threaded=n_frames > BLOCK_FRAMES,
     )
-    lead, keep = _lead_pad(cfg), len(wsum)
-    outs = []
-    for acc in accs:
-        out = acc[lead : lead + keep]
-        if keep < length:
-            out = np.concatenate([out, np.zeros(length - keep)])
-        outs.append(finite_waveform(out, cfg.sample_rate))
-    return outs
+    lead = _lead_pad(cfg)
+    return [finite_waveform(acc[lead : lead + length], cfg.sample_rate) for acc in accs]

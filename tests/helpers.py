@@ -377,13 +377,13 @@ def _phase_ordered_overlap_add(acc, frames, first: int, cfg) -> None:
 
 
 def oracle_window_sum(cfg, n_frames: int, original_length: int) -> np.ndarray:
-    """The squared-window overlap sum over the samples an inversion keeps,
-    added frame by frame over every frame, in phase order."""
+    """The squared-window overlap sum of ``n_frames`` frames over the first
+    ``original_length`` samples, added frame by frame in phase order."""
     n, lead = cfg.fft_size, cfg.fft_size // 2
     w2 = _hann(n) ** 2
     acc = np.zeros((n_frames - 1) * cfg.hop + n)
     _phase_ordered_overlap_add(acc, np.broadcast_to(w2, (n_frames, n)), 0, cfg)
-    return acc[lead : lead + min(original_length, len(acc) - lead)]
+    return acc[lead : lead + original_length]
 
 
 def oracle_istft(spec, mask=None) -> np.ndarray:
@@ -399,8 +399,7 @@ def oracle_istft(spec, mask=None) -> np.ndarray:
     for s in range(0, n_frames, BLOCK_FRAMES):
         _phase_ordered_overlap_add(acc, frames[s : s + BLOCK_FRAMES], s, cfg)
     wsum = oracle_window_sum(cfg, n_frames, spec.original_length)
-    out = acc[lead : lead + len(wsum)] / wsum
-    return np.concatenate([out, np.zeros(spec.original_length - len(wsum))])
+    return acc[lead : lead + len(wsum)] / wsum
 
 
 def oracle_log_joint(x, mu, sigma, w) -> np.ndarray:

@@ -545,6 +545,9 @@ def test_malformed_file_structure_exit_3_naming_the_file(tmp_path, capsys):
         "empty.hrir": _bank_bytes(SR, []),
         # cut 5 bytes into the second entry's 12-byte header
         "cut.hrir": bank[: len(bank) - 28 + 5],
+        # the file ends after its last entry
+        "trailing.hrir": bank + bytes(4),
+        "count1.hrir": _bank_bytes(SR, [(0.0, [1.0])]) + bank[-28:],
     }
     cases = [
         ("separate", "no_fmt.wav", "missing fmt or data chunk"),
@@ -553,6 +556,8 @@ def test_malformed_file_structure_exit_3_naming_the_file(tmp_path, capsys):
         ("synth", "v2.hrir", f"unsupported bank version {BANK_VERSION + 1}"),
         ("synth", "empty.hrir", "HRIR bank must contain at least one entry"),
         ("synth", "cut.hrir", "truncated HRIR bank"),
+        ("synth", "trailing.hrir", "4 bytes after entry 2 of 2"),
+        ("synth", "count1.hrir", "28 bytes after entry 1 of 1"),
     ]
     for k, (command, name, reason) in enumerate(cases):
         path = tmp_path / name

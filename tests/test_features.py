@@ -64,7 +64,7 @@ def test_double_magnitude_ild():
     mr = phases
     ml = 2.0 * phases * np.exp(1j * 0.1)
     grid = compute_features(
-        Spectrogram(ml, cfg, 16), Spectrogram(mr, cfg, 16), 562.0
+        Spectrogram(ml, cfg, 8), Spectrogram(mr, cfg, 8), 562.0
     )
     assert np.allclose(grid.ild, 20 * np.log10(2.0), atol=1e-9)
     assert grid.ild[0, 0] == pytest.approx(6.0206, abs=1e-3)
@@ -156,7 +156,8 @@ def _random_spectrograms(rng, frames, cfg, loud_bins=None):
         bins *= 10.0 ** rng.uniform(-3.0, 0.0, size=shape)
         if loud_bins is not None:
             bins[:, loud_bins] *= 1e3
-        specs.append(Spectrogram(bins, cfg, frames * cfg.hop))
+        # the longest signal with ``frames`` frames (at least 2)
+        specs.append(Spectrogram(bins, cfg, frames * cfg.hop - cfg.fft_size // 2))
     return specs
 
 
@@ -201,7 +202,7 @@ def test_frame_energy_equals_full_width_masked_sum():
     ]
     for k in range(60):
         cfg, f_aliasing, loud = cases[(k // 2) % len(cases)] if k % 2 else cases[0]
-        frames = int(rng.integers(1, 300))
+        frames = int(rng.integers(2, 300))  # every spectrogram has 2 or more
         sl, sr_ = _random_spectrograms(rng, frames, cfg, loud)
         grid = compute_features(sl, sr_, f_aliasing)
         mask = np.zeros(grid.energy.shape, dtype=bool)

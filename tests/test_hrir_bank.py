@@ -59,6 +59,23 @@ def test_truncated_bank_rejected(tmp_path):
         load_hrir_bank(path)
 
 
+def test_bytes_after_the_declared_entries_rejected(tmp_path):
+    # a bank file ends after its last entry, so neither a count field
+    # below the entries that follow it nor appended bytes load
+    path = tmp_path / "bank.hrir"
+    save_hrir_bank(_bank(np.arange(0, 360, 5)), path)
+    data = path.read_bytes()
+    count = len(BANK_MAGIC) + 8
+    assert struct.unpack_from("<I", data, count) == (72,)
+    entry = 12 + 2 * 8 * 8  # 8 taps an ear
+    path.write_bytes(data[:count] + struct.pack("<I", 3) + data[count + 4 :])
+    with pytest.raises(AudioFormatError, match=f"{69 * entry} bytes after entry 3 of 3"):
+        load_hrir_bank(path)
+    path.write_bytes(data + b"junk")
+    with pytest.raises(AudioFormatError, match="4 bytes after entry 72 of 72"):
+        load_hrir_bank(path)
+
+
 def test_bank_rejects_unequal_ear_taps():
     # the bank file holds one tap count per entry, and so does the bank
     left, right = Waveform(np.zeros(4), 16000), Waveform(np.zeros(5), 16000)

@@ -24,8 +24,9 @@ FRAME_COUNTS = (1, 63, 64, 65, B - 1, B, B + 1, B + 65, 3 * B + 17)
 def _frame_count(length, cfg):
     """The documented frame count of a ``length``-sample signal: frames
     start every hop from half a frame before the first sample, up to the
-    last frame that starts at or before the last sample."""
-    return 1 + (cfg.fft_size // 2 + length - 1) // cfg.hop
+    last frame that starts at or before the last sample (an empty signal
+    has the frames of one sample)."""
+    return 1 + (cfg.fft_size // 2 + max(length, 1) - 1) // cfg.hop
 
 
 def _rel_l2(x, y):
@@ -129,12 +130,55 @@ def test_rate_mismatch_rejected():
 
 def test_spectrogram_validation():
     cfg = clustering_config()
+    n_frames = _frame_count(2048, cfg)  # 5
+    Spectrogram(np.zeros((n_frames, 513), dtype=complex), cfg, 2048)
+    for shape in [(n_frames, 100), (n_frames - 1, 513), (n_frames + 1, 513), (513,)]:
+        with pytest.raises(ValueError, match=r"inconsistent.*stft gives \(5, 513\)"):
+            Spectrogram(np.zeros(shape, dtype=complex), cfg, 2048)
+    # the shape is checked before the bins are scanned
     with pytest.raises(ValueError, match="inconsistent"):
-        Spectrogram(np.zeros((4, 100), dtype=complex), cfg, 2048)
-    bad = np.zeros((4, 513), dtype=complex)
+        Spectrogram(np.full((4, 513), np.nan + 0j), cfg, 2048)
+    bad = np.zeros((n_frames, 513), dtype=complex)
     bad[0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         Spectrogram(bad, cfg, 2048)
+    # an empty signal has two frames; a negative length has none
+    empty = np.zeros((_frame_count(0, cfg), 513), dtype=complex)
+    assert Spectrogram(empty, cfg, 0).num_frames == 2
+    with pytest.raises(ValueError, match="original_length -1 is negative"):
+        Spectrogram(empty, cfg, -1)
+
+
+def test_spectrogram_past_its_frames_is_rejected():
+    # four frames at 4096/2048 cover 6144 samples; inverting them over
+    # 20000 divided the samples past them by a window sum of 2.2e-14
+    cfg = StftConfig(fft_size=4096, hop=2048, sample_rate=16000)
+    bins = np.random.default_rng(3).standard_normal((4, cfg.num_bins)) + 0j
+    with pytest.raises(ValueError, match=r"20000 samples: stft gives \(11, 2049\)"):
+        Spectrogram(bins, cfg, 20000)
+
+
+@pytest.mark.parametrize("fft_size, hop", [(1024, 512), (1024, 384), (8, 4)])
+def test_round_trip_at_frame_boundaries(fft_size, hop):
+    """``stft`` then ``istft`` gives back every sample at lengths 0 and 1
+    and one sample either side of each length where the frame count
+    steps, and a spectrogram with one frame more or fewer than ``stft``
+    gives for its length is rejected."""
+    cfg = StftConfig(fft_size=fft_size, hop=hop, sample_rate=16000)
+    rng = np.random.default_rng(fft_size + hop)
+    steps = [f * hop - fft_size // 2 for f in (2, 3, 4, 9)]  # longest with f frames
+    lengths = {0, 1} | {max(s + d, 0) for s in steps for d in (-1, 0, 1)}
+    for length in sorted(lengths):
+        x = Waveform(rng.standard_normal(length) * 0.1, 16000)
+        spec = stft(x, cfg)
+        assert spec.num_frames == _frame_count(length, cfg)
+        back = istft(spec)
+        assert len(back) == length
+        assert np.max(np.abs(back.samples - x.samples), initial=0.0) < 1e-12
+        row = np.zeros((1, cfg.num_bins), dtype=complex)
+        for bins in (spec.bins[:-1], np.vstack([spec.bins, row])):
+            with pytest.raises(ValueError, match="inconsistent"):
+                Spectrogram(bins, cfg, length)
 
 
 def _istft_oracle(spec):
@@ -149,10 +193,8 @@ def _istft_oracle(spec):
     for t in range(spec.num_frames):
         acc[t * hop : t * hop + n] += frames[t]
         wsum[t * hop : t * hop + n] += win * win
-    lead = n // 2
-    keep = min(spec.original_length, out_len - lead)
-    out = acc[lead : lead + keep] / wsum[lead : lead + keep]
-    return np.concatenate([out, np.zeros(spec.original_length - keep)])
+    kept = slice(n // 2, n // 2 + spec.original_length)
+    return acc[kept] / wsum[kept]
 
 
 def _unblocked_stft_bins(x, cfg):
@@ -208,19 +250,28 @@ def test_istft_many_rejects_unshared_layouts():
     cfg = clustering_config()
     spec = stft(Waveform(np.zeros(4000), 16000), cfg)
     longer = stft(Waveform(np.zeros(6000), 16000), cfg)
-    with pytest.raises(ValueError, match="frame count"):
+    with pytest.raises(ValueError, match="configuration or length"):
         istft_many([(spec, None), (longer, None)])
     with pytest.raises(ValueError, match="mask shape"):
         istft_many([(spec, np.ones(spec.bins.shape[1], dtype=bool))])
 
 
 def test_istft_keeps_original_length_beyond_frames():
-    cfg = clustering_config()
-    bins = np.random.default_rng(3).standard_normal((4, 513)) + 0j
-    spec = Spectrogram(bins, cfg, 5000)  # four frames cover fewer samples
-    back = istft(spec)
-    assert len(back) == 5000
-    assert np.array_equal(back.samples, _istft_oracle(spec))
+    """Random bins, which no signal has, keep every sample up to the
+    original length, those past the last frame's start included, within
+    twice the largest inverse-transform sample: at ``hop = N/2`` a sample
+    is ``(w1 a + w2 b) / (w1**2 + w2**2)`` with ``w1 + w2 = 1`` and
+    ``w1**2 + w2**2 >= 1/2``, at most ``2 max(|a|, |b|)``."""
+    for fft_size, length in [(1024, 5000), (4096, 20000)]:
+        cfg = StftConfig(fft_size=fft_size, hop=fft_size // 2, sample_rate=16000)
+        shape = (_frame_count(length, cfg), cfg.num_bins)
+        bins = np.random.default_rng(3).standard_normal(shape) + 0j
+        spec = Spectrogram(bins, cfg, length)
+        back = istft(spec)
+        assert len(back) == length
+        assert np.array_equal(back.samples, _istft_oracle(spec))
+        frames = np.fft.irfft(bins, n=fft_size, axis=1)
+        assert np.max(np.abs(back.samples)) <= 2 * np.max(np.abs(frames))
 
 
 @pytest.mark.parametrize("hop", [512, 256, 384])
@@ -249,17 +300,19 @@ def test_istft_many_of_nothing_is_empty():
 @pytest.mark.parametrize("hop", [512, 256, 384])
 def test_window_sum_equals_the_oracle_overlap_add(hop):
     """``_window_sum`` alone equals a frame-by-frame sum of the squared
-    window in phase order, bit for bit at every hop: every kept sample, at
-    frame counts up to 3751 and over lengths shorter and longer than the
-    frames cover. The frame-loop test sees the window sum only through
-    whole inversions, at one length per frame count and, where three or
-    more frames overlap, only to 1e-12."""
+    window in phase order, bit for bit at every hop: every sample, at
+    frame counts up to 3751 and at the shortest, a middle and the longest
+    length with each count. The frame-loop test sees the window sum only
+    through whole inversions, at one length per frame count and, where
+    three or more frames overlap, only to 1e-12."""
     cfg = StftConfig(fft_size=1024, hop=hop, sample_rate=16000)
-    for n_frames in (1, 2, 5, 11, 12, 13, 63, 64, 65, 255, 256, 257, 3751):
-        full = (n_frames - 1) * hop + 512
-        for length in {1, full // 3, full - hop, full, full + 700}:
+    for n_frames in (2, 3, 5, 11, 12, 13, 63, 64, 65, 255, 256, 257, 3751):
+        longest = n_frames * hop - 512
+        for length in {max(longest - hop + 1, 1), longest - hop // 3, longest}:
+            if length < 1 or _frame_count(length, cfg) != n_frames:
+                continue  # fewer frames than a signal at this hop has
             want = oracle_window_sum(cfg, n_frames, length)
-            got = _window_sum(cfg, n_frames, length)
+            got = _window_sum(cfg, length)
             assert np.array_equal(got, want), (n_frames, length)
 
 
@@ -271,7 +324,7 @@ def test_window_sum_is_at_least_one_half():
         for hop in range(1, n // 2 + 1):
             cfg = StftConfig(fft_size=n, hop=hop, sample_rate=16000)
             for length in (1, n // 2 + hop, 3 * n + 1):
-                wsum = _window_sum(cfg, _frame_count(length, cfg), length)
+                wsum = _window_sum(cfg, length)
                 assert len(wsum) == length and wsum.min() >= 0.5, (n, hop, length)
 
 
