@@ -112,9 +112,9 @@ def thread_map(fn, items, threaded: bool) -> list:
     arrays the calling thread allocated rather than allocate them: memory
     freed by a worker thread stays in that thread's allocator arena and
     inflates the process's resident size. Temporaries of a few MB per
-    block cost little: ``istft_many``'s whole-block inversions, about 4 MB
-    per thread, raise the peak RSS of ``separate()`` on 30-120 s
-    recordings by about 6 MB on two CPUs.
+    block cost little: ``istft_many``'s whole-block inversions, one channel's
+    masks at a time, about 4 MB per thread, raise the peak RSS of
+    ``separate()`` on 30-120 s recordings by about 6 MB on two CPUs.
     """
     items = list(items)
     n_threads = min(len(items), usable_cpus())

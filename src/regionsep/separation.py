@@ -232,9 +232,11 @@ def separate(m: BinauralSignal, cfg: SeparationConfig) -> SeparationOutcome:
     # before the inversions allocate their outputs
     del grid, mask1_low, mask2_low, mask1_high, mask2_high
 
-    left1, right1, left2, right2 = istft_many(
-        (spec, mask) for mask in (mask1, mask2) for spec in (spec_l, spec_r)
-    )
+    # each channel's inversions need only its own spectrogram, so the left
+    # one is freed before the right channel's outputs are allocated
+    left1, left2 = istft_many(spec_l, (mask1, mask2))
+    del spec_l
+    right1, right2 = istft_many(spec_r, (mask1, mask2))
     return Separated(
         source1=BinauralSignal(left1, right1),
         itd1=verdict.low.mean,

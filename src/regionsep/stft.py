@@ -38,10 +38,11 @@ not depend on its order (nor on which block each term came from), so the
 result equals a frame-by-frame loop's bit for bit; with more overlap the
 summation order differs and results agree to rounding.
 
-``stft_many`` and ``istft_many`` transform several channels, or several
-masked versions of one channel, at once. They allocate every result in
-the calling thread and, when an input spans more than one block, fill
-them on one thread per result, up to the usable CPUs
+``stft_many`` transforms several channels at once, and ``istft_many``
+several masked versions of one channel's spectrogram, so a caller can
+free one channel's spectrogram before it inverts the next. They allocate
+every result in the calling thread and, when an input spans more than
+one block, fill them on one thread per result, up to the usable CPUs
 (``parallel.thread_map``); NumPy's FFTs and ufuncs release the
 interpreter lock. Their results are not scanned for NaN and Inf again:
 the spectrograms ``stft_many`` computes are checked once, by
@@ -55,7 +56,7 @@ transform overflows raises ``ValueError`` there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -104,6 +105,10 @@ class Spectrogram:
     original_length: int
 
     def __post_init__(self):
+        if not isinstance(self.original_length, (int, np.integer)):
+            raise ValueError(
+                f"original_length {self.original_length!r} is not an integer"
+            )
         if self.original_length < 0:
             raise ValueError(f"original_length {self.original_length} is negative")
         shape = (_num_frames(self.original_length, self.config), self.config.num_bins)
@@ -262,39 +267,31 @@ def _invert_into(
 
 def istft(spec: Spectrogram) -> Waveform:
     """The waveform of ``spec``, scanned: ``ValueError`` if a sample overflows."""
-    (out,) = istft_many([(spec, None)])
+    (out,) = istft_many(spec, [None])
     return Waveform(out.samples, out.sample_rate)
 
 
 def istft_many(
-    pairs: Iterable[Tuple[Spectrogram, Optional[np.ndarray]]]
+    spec: Spectrogram, masks: Sequence[Optional[np.ndarray]]
 ) -> List[Waveform]:
-    """``istft(spec.masked(mask))`` for each ``(spec, mask)`` pair, or
-    ``istft(spec)`` where the mask is None.
+    """``istft(spec.masked(mask))`` for each mask, or ``istft(spec)`` where
+    the mask is None.
 
-    The spectrograms must share their configuration and original length
-    (and so their frame count), so that one squared-window sum serves every
-    pair. Inversions run on threads when they span several blocks.
+    One squared-window sum serves every mask. Inversions run on threads
+    when they span several blocks.
     """
-    pairs = list(pairs)
-    if not pairs:
-        return []
-    layout = (pairs[0][0].config, pairs[0][0].original_length)
-    for spec, mask in pairs:
-        if (spec.config, spec.original_length) != layout:
-            raise ValueError("spectrograms differ in configuration or length")
+    for mask in masks:
         if mask is not None and mask.shape != spec.bins.shape:
             raise ValueError(
                 f"mask shape {mask.shape} != spectrogram shape {spec.bins.shape}"
             )
-    cfg, length = layout
-    n_frames = _num_frames(length, cfg)
+    cfg, length = spec.config, spec.original_length
     wsum = _window_sum(cfg, length)
-    accs = [np.zeros(_synthesis_length(cfg, n_frames)) for _ in pairs]
+    accs = [np.zeros(_synthesis_length(cfg, spec.num_frames)) for _ in masks]
     thread_map(
         lambda job: _invert_into(*job, wsum, cfg),
-        [(acc, spec.bins, mask) for acc, (spec, mask) in zip(accs, pairs)],
-        threaded=n_frames > BLOCK_FRAMES,
+        [(acc, spec.bins, mask) for acc, mask in zip(accs, masks)],
+        threaded=spec.num_frames > BLOCK_FRAMES,
     )
     lead = _lead_pad(cfg)
     return [finite_waveform(acc[lead : lead + length], cfg.sample_rate) for acc in accs]
